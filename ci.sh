@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate for the proof workspace. Run from the repo root.
 #
-#   ./ci.sh          # format check, lints, release build, full test suite
+#   ./ci.sh          # format check, lints, release build, tests of the
+#                    # façade and every crate (the workspace's default
+#                    # members), doc build, CLI/daemon/fleet smokes
 #
 # Every step must pass; the script stops at the first failure.
 set -euo pipefail
@@ -14,11 +16,10 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release --workspace"
-# --workspace so the smokes below run a freshly-built ./target/release/proof
-# (the bare root-package build would leave the proof-cli binary stale)
+# the smokes below run this freshly-built ./target/release/proof
 cargo build --release --workspace
 
-echo "==> cargo test -q"
+echo "==> cargo test -q (default members: the façade and every crate)"
 cargo test -q
 
 echo "==> cargo doc --no-deps (warnings denied)"

@@ -38,6 +38,7 @@ pub struct ReorderLayer {
 pub enum FuseError {
     UnknownTensor(String),
     UnknownNode(NodeId),
+    UnknownGroup(GroupId),
     /// The io-bounded closure escaped the given inputs (not a valid subgraph).
     NotAClosedSubgraph {
         escaped_tensor: String,
@@ -54,6 +55,7 @@ impl std::fmt::Display for FuseError {
         match self {
             FuseError::UnknownTensor(n) => write!(f, "unknown tensor {n}"),
             FuseError::UnknownNode(id) => write!(f, "unknown node id {id}"),
+            FuseError::UnknownGroup(id) => write!(f, "unknown group id {id}"),
             FuseError::NotAClosedSubgraph { escaped_tensor } => {
                 write!(
                     f,
@@ -81,6 +83,10 @@ pub struct OptimizedRepr<'g> {
     reorders: Vec<ReorderLayer>,
     producers: HashMap<TensorId, NodeId>,
     consumers: HashMap<TensorId, Vec<NodeId>>,
+    /// Name → id indexes, built once so mapping resolves names in O(1);
+    /// the first occurrence of a name wins, as in [`Graph::node_by_name`].
+    node_ids: HashMap<&'g str, NodeId>,
+    tensor_ids: HashMap<&'g str, TensorId>,
 }
 
 impl<'g> OptimizedRepr<'g> {
@@ -89,16 +95,27 @@ impl<'g> OptimizedRepr<'g> {
         let groups = graph
             .nodes
             .iter()
-            .map(|n| Group {
+            .enumerate()
+            .map(|(id, n)| Group {
                 name: n.name.clone(),
-                members: vec![graph.node_by_name(&n.name).expect("own node")],
+                members: vec![id as NodeId],
                 fused: false,
             })
             .collect::<Vec<_>>();
         let node_group = (0..graph.nodes.len() as GroupId).collect();
+        let mut node_ids = HashMap::with_capacity(graph.nodes.len());
+        for (id, n) in graph.nodes.iter().enumerate() {
+            node_ids.entry(n.name.as_str()).or_insert(id as NodeId);
+        }
+        let mut tensor_ids = HashMap::with_capacity(graph.tensors.len());
+        for (id, t) in graph.tensors.iter().enumerate() {
+            tensor_ids.entry(t.name.as_str()).or_insert(id as TensorId);
+        }
         OptimizedRepr {
             producers: graph.producers(),
             consumers: graph.consumers(),
+            node_ids,
+            tensor_ids,
             analysis,
             groups,
             node_group,
@@ -115,6 +132,21 @@ impl<'g> OptimizedRepr<'g> {
         &self.analysis
     }
 
+    /// Node id by name, through the index built in [`OptimizedRepr::new`].
+    pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
+        self.node_ids.get(name).copied()
+    }
+
+    /// Tensor id → producing node id (activations only), built once.
+    pub fn producers(&self) -> &HashMap<TensorId, NodeId> {
+        &self.producers
+    }
+
+    /// Tensor id → consuming node ids in node order, built once.
+    pub fn consumers(&self) -> &HashMap<TensorId, Vec<NodeId>> {
+        &self.consumers
+    }
+
     // ------------------------------------------------------------------
     // Universal mapping interfaces (paper Figure 2)
     // ------------------------------------------------------------------
@@ -124,7 +156,7 @@ impl<'g> OptimizedRepr<'g> {
         self.aliases
             .get(name)
             .copied()
-            .or_else(|| self.graph().tensor_by_name(name))
+            .or_else(|| self.tensor_ids.get(name).copied())
     }
 
     /// Register that the runtime refers to model tensor `target` under
@@ -255,6 +287,9 @@ impl<'g> OptimizedRepr<'g> {
     pub fn absorb_into(&mut self, node: NodeId, group: GroupId) -> Result<(), FuseError> {
         if node as usize >= self.node_group.len() {
             return Err(FuseError::UnknownNode(node));
+        }
+        if group as usize >= self.groups.len() {
+            return Err(FuseError::UnknownGroup(group));
         }
         let old = self.node_group[node as usize];
         if old == group {
@@ -521,6 +556,34 @@ mod tests {
         // every node maps to exactly one live group
         let live: Vec<_> = o.groups().collect();
         assert_eq!(live.len(), 1);
+    }
+
+    #[test]
+    fn absorb_rejects_unknown_node_and_group() {
+        let g = block();
+        let mut o = repr(&g);
+        assert_eq!(o.absorb_into(99, 0), Err(FuseError::UnknownNode(99)));
+        assert_eq!(o.absorb_into(2, 99), Err(FuseError::UnknownGroup(99)));
+        // a rejected call leaves the assignment untouched
+        assert_eq!(o.group_of(2), 2);
+        assert_eq!(o.group(2).members, vec![2]);
+    }
+
+    #[test]
+    fn name_indexes_match_the_graph_scans() {
+        let g = block();
+        let o = repr(&g);
+        for (id, n) in g.iter_nodes() {
+            assert_eq!(o.node_by_name(&n.name), Some(id));
+            assert_eq!(o.node_by_name(&n.name), g.node_by_name(&n.name));
+        }
+        for t in &g.tensors {
+            assert_eq!(o.resolve_tensor(&t.name), g.tensor_by_name(&t.name));
+        }
+        assert_eq!(o.node_by_name("missing"), None);
+        assert_eq!(o.resolve_tensor("missing"), None);
+        assert_eq!(o.producers(), &g.producers());
+        assert_eq!(o.consumers(), &g.consumers());
     }
 
     #[test]

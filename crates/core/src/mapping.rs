@@ -80,7 +80,7 @@ pub fn map_layers<'g>(
         profile
             .iter()
             .filter_map(|l| match &l.hint {
-                LayerHint::PrimaryOp { node_name, .. } => repr.graph().node_by_name(node_name),
+                LayerHint::PrimaryOp { node_name, .. } => repr.node_by_name(node_name),
                 _ => None,
             })
             .collect()
@@ -169,10 +169,7 @@ pub fn map_layers<'g>(
 
 /// Fuse an explicit member-name list.
 fn map_named_members(repr: &mut OptimizedRepr, layer: &str, names: &[String]) -> Option<GroupId> {
-    let ids: Vec<NodeId> = names
-        .iter()
-        .filter_map(|n| repr.graph().node_by_name(n))
-        .collect();
+    let ids: Vec<NodeId> = names.iter().filter_map(|n| repr.node_by_name(n)).collect();
     if ids.is_empty() {
         return None;
     }
@@ -185,8 +182,8 @@ fn map_named_members(repr: &mut OptimizedRepr, layer: &str, names: &[String]) ->
 /// Recover an `"a + ... + z"` layer: the subgraph between a's inputs and
 /// z's outputs.
 fn map_elided(repr: &mut OptimizedRepr, layer: &str, parts: &[&str]) -> Option<GroupId> {
-    let first = repr.graph().node_by_name(parts.first()?)?;
-    let last = repr.graph().node_by_name(parts.last()?)?;
+    let first = repr.node_by_name(parts.first()?)?;
+    let last = repr.node_by_name(parts.last()?)?;
     let g = repr.graph();
     let inputs: Vec<TensorId> = g
         .node(first)
@@ -232,26 +229,41 @@ fn map_primary_heuristic(
     node_name: &str,
     primaries: &HashSet<NodeId>,
 ) -> Option<GroupId> {
+    let root = repr.node_by_name(node_name)?;
+    let members = primary_members(repr, root, primaries);
+    if members.len() == 1 {
+        Some(repr.group_of(root))
+    } else {
+        // if a racefully-shared node slipped in anyway, keep the bare root
+        repr.set_fused_op(layer, &members)
+            .ok()
+            .or_else(|| Some(repr.group_of(root)))
+    }
+}
+
+/// The walk behind [`map_primary_heuristic`], under a shared borrow of the
+/// repr so it can read the cached consumer map; returns `[root]` when
+/// nothing fuses.
+fn primary_members(repr: &OptimizedRepr, root: NodeId, primaries: &HashSet<NodeId>) -> Vec<NodeId> {
     let g = repr.graph();
-    let root = g.node_by_name(node_name)?;
+    let mut members = vec![root];
     if !matches!(
         g.node(root).op,
         OpKind::Conv | OpKind::Gemm | OpKind::MatMul
     ) {
-        return Some(repr.group_of(root));
+        return members;
     }
-    let consumers = g.consumers();
-    let mut members = vec![root];
+    let consumers = repr.consumers();
     let mut cur = g.node(root).output();
     // a node that another layer's mapping already fused is off-limits —
     // this is how two convs sharing a residual Add agree on its owner
-    let taken = |repr: &OptimizedRepr, n: NodeId| repr.group(repr.group_of(n)).fused;
+    let taken = |n: NodeId| repr.group(repr.group_of(n)).fused;
     while let Some(cs) = consumers.get(&cur) {
         // SiLU diamond: two consumers {Sigmoid, Mul(cur, σ)}
         if cs.len() == 2 {
             let silu = cs.iter().copied().find_map(|s| {
                 let sn = g.node(s);
-                if sn.op != OpKind::Sigmoid || primaries.contains(&s) || taken(repr, s) {
+                if sn.op != OpKind::Sigmoid || primaries.contains(&s) || taken(s) {
                     return None;
                 }
                 let souts = consumers.get(&sn.output())?;
@@ -261,7 +273,7 @@ fn map_primary_heuristic(
                 let m = souts[0];
                 (cs.contains(&m)
                     && !primaries.contains(&m)
-                    && !taken(repr, m)
+                    && !taken(m)
                     && g.node(m).op == OpKind::Mul
                     && g.node(m).inputs.contains(&cur))
                 .then_some((s, m))
@@ -277,7 +289,7 @@ fn map_primary_heuristic(
             break;
         }
         let next = cs[0];
-        if primaries.contains(&next) || taken(repr, next) || members.len() >= 12 {
+        if primaries.contains(&next) || taken(next) || members.len() >= 12 {
             break;
         }
         let nd = g.node(next);
@@ -290,14 +302,7 @@ fn map_primary_heuristic(
         members.push(next);
         cur = nd.output();
     }
-    if members.len() == 1 {
-        Some(repr.group_of(root))
-    } else {
-        // if a racefully-shared node slipped in anyway, keep the bare root
-        repr.set_fused_op(layer, &members)
-            .ok()
-            .or_else(|| Some(repr.group_of(root)))
-    }
+    members
 }
 
 /// Attach any node still sitting in an unreported singleton group (an
@@ -306,8 +311,6 @@ fn map_primary_heuristic(
 fn absorb_leftover_noops(repr: &mut OptimizedRepr, layers: &[MappedLayer]) {
     let reported: HashSet<GroupId> = layers.iter().filter_map(|l| l.group).collect();
     let g = repr.graph();
-    let producers = g.producers();
-    let consumers = g.consumers();
     let noops: Vec<NodeId> = g
         .iter_nodes()
         .filter(|(id, n)| n.op.is_noop_at_inference() && !reported.contains(&repr.group_of(*id)))
@@ -319,13 +322,13 @@ fn absorb_leftover_noops(repr: &mut OptimizedRepr, layers: &[MappedLayer]) {
         let target = node
             .inputs
             .iter()
-            .filter_map(|t| producers.get(t))
+            .filter_map(|t| repr.producers().get(t))
             .map(|&p| repr.group_of(p))
             .find(|gid| reported.contains(gid))
             .or_else(|| {
                 node.outputs
                     .iter()
-                    .filter_map(|t| consumers.get(t))
+                    .filter_map(|t| repr.consumers().get(t))
                     .flatten()
                     .map(|&c| repr.group_of(c))
                     .find(|gid| reported.contains(gid))
@@ -345,6 +348,12 @@ mod tests {
     use proof_models::ModelId;
     use proof_runtime::{compile, CompiledModel, SessionConfig};
 
+    const FLAVORS: [BackendFlavor; 3] = [
+        BackendFlavor::TrtLike,
+        BackendFlavor::OrtLike,
+        BackendFlavor::OvLike,
+    ];
+
     fn run(model: ModelId, batch: u64, flavor: BackendFlavor) -> (proof_ir::Graph, CompiledModel) {
         let g = model.build(batch);
         let m = compile(
@@ -363,7 +372,8 @@ mod tests {
         let mapping = map_layers(OptimizedRepr::new(analysis), &m.builtin_profile(), flavor);
         assert!(
             mapping.unresolved.is_empty(),
-            "unresolved: {:?}",
+            "{} {flavor:?} unresolved: {:?}",
+            g.name,
             mapping.unresolved
         );
 
@@ -388,7 +398,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        assert_eq!(truth.len(), derived.len());
+        assert_eq!(truth.len(), derived.len(), "{} {flavor:?}", g.name);
         for (t, d) in truth.iter().zip(&derived) {
             // derived sets may include absorbed no-op views the runtime
             // eliminated; every real (non-noop) node must agree exactly
@@ -400,7 +410,11 @@ mod tests {
                 .iter()
                 .filter(|&&n| !g.node(n).op.is_noop_at_inference())
                 .collect();
-            assert_eq!(t_real, d_real, "layer membership diverged");
+            assert_eq!(
+                t_real, d_real,
+                "{} {flavor:?}: layer membership diverged",
+                g.name
+            );
         }
     }
 
@@ -434,13 +448,118 @@ mod tests {
         assert_matches_truth(&g, &m, BackendFlavor::OvLike);
     }
 
+    /// Large graphs at batch 8 on every flavor: they reach SiLU diamonds
+    /// (efficientnetv2-s, sd-unet), TRT Myelin regions and elided
+    /// `"a + ... + z"` names (the transformers and sd-unet).
+    fn assert_matches_truth_on_every_flavor(model: ModelId) {
+        for flavor in FLAVORS {
+            let (g, m) = run(model, 8, flavor);
+            assert_matches_truth(&g, &m, flavor);
+        }
+    }
+
+    #[test]
+    fn mapping_matches_truth_on_sd_unet() {
+        assert_matches_truth_on_every_flavor(ModelId::StableDiffusionUnet);
+    }
+
+    #[test]
+    fn mapping_matches_truth_on_swin_base() {
+        assert_matches_truth_on_every_flavor(ModelId::SwinBase);
+    }
+
+    #[test]
+    fn mapping_matches_truth_on_vit_base() {
+        assert_matches_truth_on_every_flavor(ModelId::ViTBase);
+    }
+
+    #[test]
+    fn mapping_matches_truth_on_efficientnetv2_s() {
+        assert_matches_truth_on_every_flavor(ModelId::EfficientNetV2S);
+    }
+
+    #[test]
+    fn mapping_matches_truth_on_distilbert_base() {
+        assert_matches_truth_on_every_flavor(ModelId::DistilBertBase);
+    }
+
+    /// A conv feeding a 15-op elementwise chain: the runtime's epilogue
+    /// fusion and the OV walk both stop at 12 members, and the chain's tail
+    /// maps to layers of its own. No zoo model reaches this cap on OV.
+    #[test]
+    fn ov_walk_stops_at_the_member_cap_like_the_runtime() {
+        let mut b = proof_ir::GraphBuilder::new("long-epilogue");
+        let x = b.input("x", &[8, 16, 16, 16], DType::F32);
+        let mut t = b.conv("conv", x, 16, 3, 1, 1, 1, false);
+        for i in 0..15 {
+            t = b.relu(&format!("relu{i}"), t);
+        }
+        b.output(t);
+        let g = b.finish();
+        let flavor = BackendFlavor::OvLike;
+        let m = compile(
+            &g,
+            flavor,
+            &PlatformId::A100.spec(),
+            &SessionConfig::new(DType::F16),
+        )
+        .unwrap();
+        assert_matches_truth(&g, &m, flavor);
+        let mapping = map_layers(
+            OptimizedRepr::new(AnalyzeRepr::new(&g, DType::F16)),
+            &m.builtin_profile(),
+            flavor,
+        );
+        let conv = mapping.repr.group_of(0);
+        assert_eq!(
+            mapping.repr.group(conv).members,
+            (0..12).collect::<Vec<_>>()
+        );
+    }
+
+    /// Median wall time per node of building the repr and mapping `model`'s
+    /// built-in profile, over 5 runs.
+    fn map_ns_per_node(model: ModelId, flavor: BackendFlavor) -> f64 {
+        let (g, m) = run(model, 8, flavor);
+        let profile = m.builtin_profile();
+        let mut samples: Vec<f64> = (0..5)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                let mapping = map_layers(
+                    OptimizedRepr::new(AnalyzeRepr::new(&g, DType::F16)),
+                    &profile,
+                    flavor,
+                );
+                let ns = start.elapsed().as_nanos() as f64;
+                assert!(mapping.unresolved.is_empty());
+                ns
+            })
+            .collect();
+        samples.sort_by(f64::total_cmp);
+        samples[2] / g.nodes.len() as f64
+    }
+
+    /// Mapping is linear in graph size: per-node time on swin-base (~1600
+    /// nodes) stays within 2× of mobilenetv2-1.0's (~100 nodes) on every
+    /// flavor. Quadratic name lookups or per-layer consumer-map rebuilds
+    /// put the ratio near 3×.
+    #[test]
+    fn map_time_per_node_is_flat_across_graph_sizes() {
+        for flavor in FLAVORS {
+            let small = map_ns_per_node(ModelId::MobileNetV2x10, flavor);
+            let large = map_ns_per_node(ModelId::SwinBase, flavor);
+            let ratio = large / small;
+            assert!(
+                ratio <= 2.0,
+                "{flavor:?}: {large:.0} ns/node on swin-base vs {small:.0} on \
+                 mobilenetv2-1.0 ({ratio:.2}×)"
+            );
+        }
+    }
+
     #[test]
     fn coverage_is_total_after_absorption() {
-        for flavor in [
-            BackendFlavor::TrtLike,
-            BackendFlavor::OrtLike,
-            BackendFlavor::OvLike,
-        ] {
+        for flavor in FLAVORS {
             let (g, m) = run(ModelId::ResNet50, 1, flavor);
             let analysis = AnalyzeRepr::new(&g, DType::F16);
             let mapping = map_layers(OptimizedRepr::new(analysis), &m.builtin_profile(), flavor);

@@ -175,7 +175,20 @@ impl PartialEq for ProfileReport {
     }
 }
 
-/// Locate a non-finite float in a serialized value tree, if any.
+/// Whether a serialized value tree holds a non-finite float anywhere; the
+/// allocation-free check [`ProfileReport::try_to_json`] runs on every report.
+fn any_non_finite(v: &serde::Value) -> bool {
+    match v {
+        serde::Value::Number(serde::Number::F(f)) => !f.is_finite(),
+        serde::Value::Array(items) => items.iter().any(any_non_finite),
+        serde::Value::Object(m) => m.values().any(any_non_finite),
+        _ => false,
+    }
+}
+
+/// Locate a non-finite float in a serialized value tree, if any. Builds a
+/// path string per visited value, so it runs only once
+/// [`any_non_finite`] has found one.
 fn non_finite_path(v: &serde::Value, path: &str) -> Option<String> {
     match v {
         serde::Value::Number(serde::Number::F(f)) if !f.is_finite() => Some(path.to_string()),
@@ -250,12 +263,15 @@ impl ProfileReport {
     /// [`ProofError::Serialize`] instead.
     pub fn try_to_json(&self) -> Result<String, ProofError> {
         let v = Serialize::to_value(self);
-        if let Some(path) = non_finite_path(&v, "report") {
+        if any_non_finite(&v) {
+            let path = non_finite_path(&v, "report").unwrap_or_default();
             return Err(ProofError::Serialize(format!(
                 "non-finite number at {path} would not survive a JSON round-trip"
             )));
         }
-        serde_json::to_string_pretty(&v).map_err(|e| ProofError::Serialize(e.to_string()))
+        // print the tree already built; `serde_json::to_string_pretty(&v)`
+        // would clone it first
+        Ok(serde::ser::to_pretty_string(&v))
     }
 
     pub fn to_json(&self) -> String {
@@ -386,5 +402,19 @@ mod tests {
         let err = r.try_to_json().unwrap_err();
         assert!(matches!(err, ProofError::Serialize(_)), "{err}");
         assert!(err.to_string().contains("total_latency_ms"), "{err}");
+    }
+
+    #[test]
+    fn try_to_json_names_the_path_of_a_nested_non_finite_value() {
+        let mut r = run(MetricMode::Predicted);
+        r.layers[3].latency_us = f64::NAN;
+        match r.try_to_json().unwrap_err() {
+            ProofError::Serialize(msg) => assert_eq!(
+                msg,
+                "non-finite number at report.layers[3].latency_us \
+                 would not survive a JSON round-trip"
+            ),
+            other => panic!("expected a Serialize error, got {other}"),
+        }
     }
 }

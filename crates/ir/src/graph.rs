@@ -128,7 +128,9 @@ impl Graph {
         map
     }
 
-    /// Find a node id by name.
+    /// Find a node id by name. Linear scan; one-off lookups only — code
+    /// that resolves many names builds an index once (the layer mapping
+    /// uses `OptimizedRepr::node_by_name` in proof-core).
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
         self.nodes
             .iter()
@@ -136,7 +138,7 @@ impl Graph {
             .map(|i| i as NodeId)
     }
 
-    /// Find a tensor id by name.
+    /// Find a tensor id by name. Linear scan; one-off lookups only.
     pub fn tensor_by_name(&self, name: &str) -> Option<TensorId> {
         self.tensors
             .iter()
