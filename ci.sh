@@ -3,7 +3,8 @@
 #
 #   ./ci.sh          # format check, lints, release build, tests of the
 #                    # façade and every crate (the workspace's default
-#                    # members), doc build, CLI/daemon/fleet smokes
+#                    # members), perfbench self-tests, doc build,
+#                    # CLI/daemon/fleet smokes
 #
 # Every step must pass; the script stops at the first failure.
 set -euo pipefail
@@ -21,6 +22,10 @@ cargo build --release --workspace
 
 echo "==> cargo test -q (default members: the façade and every crate)"
 cargo test -q
+
+echo "==> perfbench self-tests (the benchmark still builds against the client and daemon APIs)"
+# perfbench is a workspace of its own, so the steps above never compile it
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

@@ -10,7 +10,7 @@
 //! a different node, not this node declared dead on one bad job alone.
 
 use proof_obs::{FieldValue, Level};
-use proof_serve::client::{request_full_timeout, request_with_retry_timeout_headers, RetryPolicy};
+use proof_serve::client::{Call, Response, RetryPolicy};
 use serde_json::Value;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -101,13 +101,33 @@ fn capacity_signal(v: &Value, addr: SocketAddr, key: &str, warned: &AtomicBool) 
     }
 }
 
+/// One attempt bounded by `timeout`. Every typed call goes through here, so
+/// a transport failure maps to [`WorkerError::Unreachable`] in one place.
+fn send(
+    addr: SocketAddr,
+    timeout: Duration,
+    headers: Vec<(&'static str, String)>,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+) -> Result<Response, WorkerError> {
+    let call = Call {
+        timeout: Some(timeout),
+        headers,
+        retry: None,
+    };
+    call.send(addr, method, path, body)
+        .map_err(|e| WorkerError::Unreachable(e.to_string()))
+}
+
 /// A handle to one worker daemon.
 #[derive(Debug, Clone)]
 pub struct WorkerClient {
     pub addr: SocketAddr,
     /// Per-request transport bound (connect + each read/write).
     pub timeout: Duration,
-    /// Backpressure retry schedule (seed-keyed, deterministic).
+    /// Backpressure retry schedule (seed-keyed). Unused today: submits make
+    /// one attempt and leave backpressure to the dispatcher.
     pub retry: RetryPolicy,
 }
 
@@ -120,8 +140,8 @@ impl WorkerClient {
         }
     }
 
-    fn io_err(e: std::io::Error) -> WorkerError {
-        WorkerError::Unreachable(e.to_string())
+    fn send(&self, method: &str, path: &str, body: Option<&str>) -> Result<Response, WorkerError> {
+        send(self.addr, self.timeout, Vec::new(), method, path, body)
     }
 
     fn parse(body: &str) -> Result<Value, WorkerError> {
@@ -131,8 +151,7 @@ impl WorkerClient {
     /// `GET /healthz` — one bounded attempt, no retries: a probe that needs
     /// a retry schedule is already the answer.
     pub fn probe(&self) -> Result<WorkerHealth, WorkerError> {
-        let r = request_full_timeout(self.addr, "GET", "/healthz", None, Some(self.timeout))
-            .map_err(Self::io_err)?;
+        let r = self.send("GET", "/healthz", None)?;
         if r.status != 200 {
             return Err(WorkerError::Protocol(format!(
                 "healthz returned {}",
@@ -163,32 +182,24 @@ impl WorkerClient {
         job: &Value,
         trace: Option<(u64, u64)>,
     ) -> Result<u64, WorkerError> {
-        let body = job.to_string();
-        let header_value = trace.map(|(t, s)| format!("{t}:{s}"));
-        let headers: Vec<(&str, &str)> = header_value
-            .as_deref()
-            .map(|v| vec![("X-Proof-Trace", v)])
+        let headers = trace
+            .map(|(t, s)| vec![("X-Proof-Trace", format!("{t}:{s}"))])
             .unwrap_or_default();
-        // zero in-client retries: the shared retry helper sleeps the
+        // one attempt, no in-client retries: a retry would sleep the
         // server's Retry-After hint as a floor, so a node advertising a
         // long holdoff would block the single-threaded dispatch loop for
         // minutes inside this call. Backpressure scheduling belongs to
         // the dispatcher — a 429/503 surfaces immediately as `Busy` and
         // the registry holds the node off while other nodes keep working.
-        let submit_policy = RetryPolicy {
-            max_retries: 0,
-            ..self.retry
-        };
-        let r = request_with_retry_timeout_headers(
+        let body = job.to_string();
+        let r = send(
             self.addr,
+            self.timeout,
+            headers,
             "POST",
             "/jobs",
             Some(&body),
-            &submit_policy,
-            Some(self.timeout),
-            &headers,
-        )
-        .map_err(Self::io_err)?;
+        )?;
         match r.status {
             201 => Self::parse(&r.body)?
                 .get("id")
@@ -206,9 +217,7 @@ impl WorkerClient {
 
     /// `GET /jobs/<id>` — current lifecycle state.
     pub fn poll(&self, id: u64) -> Result<JobPoll, WorkerError> {
-        let path = format!("/jobs/{id}");
-        let r = request_full_timeout(self.addr, "GET", &path, None, Some(self.timeout))
-            .map_err(Self::io_err)?;
+        let r = self.send("GET", &format!("/jobs/{id}"), None)?;
         // a backpressured status GET means the node is alive but
         // saturated — the dispatcher must keep the shard's deadline
         // ticking, not treat this as protocol breakage
@@ -243,20 +252,9 @@ impl WorkerClient {
     /// this worker's tiered store can serve rescheduled shards from a warm
     /// peer instead of re-simulating.
     pub fn advertise_peers(&self, peers: &[SocketAddr]) -> Result<u64, WorkerError> {
-        let body = {
-            let list: Vec<Value> = peers.iter().map(|a| Value::from(a.to_string())).collect();
-            let mut m = serde_json::Map::new();
-            m.insert("peers".to_string(), Value::Array(list));
-            Value::Object(m).to_string()
-        };
-        let r = request_full_timeout(
-            self.addr,
-            "POST",
-            "/cache/peers",
-            Some(&body),
-            Some(self.timeout),
-        )
-        .map_err(Self::io_err)?;
+        let peers: Vec<String> = peers.iter().map(|a| a.to_string()).collect();
+        let body = serde_json::json!({ "peers": peers }).to_string();
+        let r = self.send("POST", "/cache/peers", Some(&body))?;
         if r.status != 200 {
             return Err(WorkerError::Protocol(format!(
                 "peer advertisement returned {}: {}",
@@ -272,8 +270,7 @@ impl WorkerClient {
     /// `GET /metrics` — the worker's lifetime remote-tier hit count, for
     /// the coordinator's `fleet_cache_remote_hits` aggregation.
     pub fn cache_remote_hits(&self) -> Result<u64, WorkerError> {
-        let r = request_full_timeout(self.addr, "GET", "/metrics", None, Some(self.timeout))
-            .map_err(Self::io_err)?;
+        let r = self.send("GET", "/metrics", None)?;
         if r.status != 200 {
             return Err(WorkerError::Protocol(format!(
                 "metrics returned {}",
@@ -292,9 +289,7 @@ impl WorkerClient {
     /// when the worker holds no spans for that trace (it executed no shard
     /// of the run, or its ring already evicted them).
     pub fn fetch_trace_spans(&self, trace: u64) -> Result<Option<Value>, WorkerError> {
-        let path = format!("/trace/{trace}?format=spans");
-        let r = request_full_timeout(self.addr, "GET", &path, None, Some(self.timeout))
-            .map_err(Self::io_err)?;
+        let r = self.send("GET", &format!("/trace/{trace}?format=spans"), None)?;
         match r.status {
             200 => Ok(Some(Self::parse(&r.body)?)),
             404 => Ok(None),
@@ -302,31 +297,9 @@ impl WorkerClient {
         }
     }
 
-    /// `GET /metrics?format=prometheus` — the worker's full text
-    /// exposition, for the coordinator's federated scrape.
-    pub fn scrape_prometheus(&self) -> Result<String, WorkerError> {
-        let r = request_full_timeout(
-            self.addr,
-            "GET",
-            "/metrics?format=prometheus",
-            None,
-            Some(self.timeout),
-        )
-        .map_err(Self::io_err)?;
-        if r.status != 200 {
-            return Err(WorkerError::Protocol(format!(
-                "metrics scrape returned {}",
-                r.status
-            )));
-        }
-        Ok(r.body)
-    }
-
     /// `GET /jobs/<id>/report` — the finished artifact, byte-exact.
     pub fn report(&self, id: u64) -> Result<String, WorkerError> {
-        let path = format!("/jobs/{id}/report");
-        let r = request_full_timeout(self.addr, "GET", &path, None, Some(self.timeout))
-            .map_err(Self::io_err)?;
+        let r = self.send("GET", &format!("/jobs/{id}/report"), None)?;
         match r.status {
             200 => Ok(r.body),
             429 | 503 => Err(WorkerError::Busy {
@@ -366,21 +339,14 @@ impl CoordinatorClient {
         CoordinatorClient { addr, timeout }
     }
 
-    fn io_err(e: std::io::Error) -> WorkerError {
-        WorkerError::Unreachable(e.to_string())
+    fn send(&self, method: &str, path: &str, body: Option<&str>) -> Result<Response, WorkerError> {
+        send(self.addr, self.timeout, Vec::new(), method, path, body)
     }
 
     /// `POST /grid/submit` — validate the spec and mint a run; returns the
     /// run id the status/result endpoints key on.
     pub fn submit_grid(&self, spec_json: &str) -> Result<u64, WorkerError> {
-        let r = request_full_timeout(
-            self.addr,
-            "POST",
-            "/grid/submit",
-            Some(spec_json),
-            Some(self.timeout),
-        )
-        .map_err(Self::io_err)?;
+        let r = self.send("POST", "/grid/submit", Some(spec_json))?;
         if r.status != 202 {
             return Err(WorkerError::Protocol(format!(
                 "grid submit returned {}: {}",
@@ -397,9 +363,7 @@ impl CoordinatorClient {
     /// progress event past the cursor; the returned document's `seq` is
     /// the exact cursor for the next poll.
     pub fn run_status(&self, run_id: u64, since: u64) -> Result<Value, WorkerError> {
-        let path = format!("/grid/{run_id}/status?since={since}");
-        let r = request_full_timeout(self.addr, "GET", &path, None, Some(self.timeout))
-            .map_err(Self::io_err)?;
+        let r = self.send("GET", &format!("/grid/{run_id}/status?since={since}"), None)?;
         if r.status != 200 {
             return Err(WorkerError::Protocol(format!(
                 "run status returned {}: {}",
@@ -411,9 +375,7 @@ impl CoordinatorClient {
 
     /// `GET /grid/<id>/result` — the run's terminal artifact, if any.
     pub fn run_result(&self, run_id: u64) -> Result<RunResult, WorkerError> {
-        let path = format!("/grid/{run_id}/result");
-        let r = request_full_timeout(self.addr, "GET", &path, None, Some(self.timeout))
-            .map_err(Self::io_err)?;
+        let r = self.send("GET", &format!("/grid/{run_id}/result"), None)?;
         match r.status {
             200 => Ok(RunResult::Done(r.body)),
             202 => Ok(RunResult::Running),

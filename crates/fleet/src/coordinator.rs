@@ -28,7 +28,7 @@ use proof_obs::export::{federate_prometheus, prometheus_text};
 use proof_obs::{
     FieldValue, FlightRecorder, MetricsRegistry, RingCollector, Tracer, DEFAULT_FLIGHT_CAPACITY,
 };
-use proof_serve::AnalysisJob;
+use proof_serve::{AnalysisJob, Call};
 use serde_json::{Map, Value};
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -96,8 +96,9 @@ pub struct FleetConfig {
     pub request_timeout: Duration,
     /// Consecutive failures that kill a node.
     pub node_fail_threshold: u32,
-    /// Seed for the clients' backpressure-retry jitter (independent of the
-    /// grid seed; does not affect artifact bytes).
+    /// Seed of the worker clients' retry policy. It has no effect today:
+    /// fleet submits make one attempt and leave backpressure to the
+    /// dispatcher. Never affects artifact bytes.
     pub client_seed: u64,
     /// Advertise every node's cache endpoint to every other node before a
     /// run (and scrape per-node remote-tier hits into
@@ -310,32 +311,12 @@ impl Fleet {
         metrics_json_from(&self.inner.metrics, &self.inner.view.nodes())
     }
 
-    /// Fleet metrics in Prometheus exposition format (`proof_fleet_`
-    /// prefix).
-    pub fn metrics_prometheus(&self) -> String {
-        prometheus_text(&self.inner.metrics.snapshot(), "proof_fleet_")
-    }
-
     /// The coordinator's own exposition plus every reachable node's
     /// scraped exposition federated under a `node="<addr>"` label — one
     /// scrape endpoint for the whole fleet. Unreachable nodes are skipped
     /// (the coordinator's own `proof_fleet_` series still report them).
     pub fn metrics_prometheus_federated(&self) -> String {
-        let mut out = self.metrics_prometheus();
-        let registry = self.inner.lock_registry();
-        let scraped: Vec<(String, String)> = (0..registry.len())
-            .filter_map(|i| {
-                let client = registry.client(i);
-                client
-                    .scrape_prometheus()
-                    .ok()
-                    .map(|body| (client.addr.to_string(), body))
-            })
-            .collect();
-        if !scraped.is_empty() {
-            out.push_str(&federate_prometheus(&scraped));
-        }
-        out
+        federated_prometheus(&self.inner.metrics, &self.inner.addrs)
     }
 
     /// The merged cross-node trace document of the most recent grid run.
@@ -575,6 +556,43 @@ pub(crate) fn metrics_json_from(metrics: &MetricsRegistry, nodes: &[NodeSnapshot
         Value::Array(nodes.iter().map(NodeSnapshot::to_value).collect()),
     );
     Value::Object(m).to_string()
+}
+
+/// Transport bound for [`scrape_nodes`]. Short on purpose: an unreachable
+/// node should cost one bounded connect attempt, not stall the scrape.
+const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// `GET path` on every node, keeping the bodies of the nodes that answered
+/// 200. Lock-free — it goes straight to the addresses — so the
+/// coordinator's scrapes (federated metrics, healthz cache aggregation)
+/// answer mid-run.
+pub(crate) fn scrape_nodes(nodes: &[SocketAddr], path: &str) -> Vec<(SocketAddr, String)> {
+    let call = Call {
+        timeout: Some(SCRAPE_TIMEOUT),
+        ..Call::default()
+    };
+    nodes
+        .iter()
+        .filter_map(|&addr| match call.send(addr, "GET", path, None) {
+            Ok(r) if r.status == 200 => Some((addr, r.body)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The coordinator's own `proof_fleet_` exposition followed by every
+/// reachable node's exposition federated under a `node="<addr>"` label.
+/// Shared by [`Fleet::metrics_prometheus_federated`] and the HTTP surface.
+pub(crate) fn federated_prometheus(metrics: &MetricsRegistry, nodes: &[SocketAddr]) -> String {
+    let mut out = prometheus_text(&metrics.snapshot(), "proof_fleet_");
+    let scraped: Vec<(String, String)> = scrape_nodes(nodes, "/metrics?format=prometheus")
+        .into_iter()
+        .map(|(addr, body)| (addr.to_string(), body))
+        .collect();
+    if !scraped.is_empty() {
+        out.push_str(&federate_prometheus(&scraped));
+    }
+    out
 }
 
 /// The single-node, in-process reference: execute every cell in canonical

@@ -33,30 +33,21 @@
 //! - `GET /debug/events` — the coordinator's flight recorder: the bounded
 //!   ring of scheduling and run-lifecycle events for post-mortems.
 //!
-//! Reuses `proof_serve::http` wholesale — same parser, same caps, same
-//! single-request connections, same query-param handling.
+//! The transport is proof-serve's [`Daemon`] shell — the same parser,
+//! caps, error body, single-request connections and drain-on-shutdown as
+//! the worker daemons; this module is only the route table and its state.
 
-use crate::coordinator::{metrics_json_from, Fleet, FleetError};
+use crate::coordinator::{
+    federated_prometheus, metrics_json_from, scrape_nodes, Fleet, FleetError,
+};
 use crate::runs::{FleetView, RunLedger};
 use proof_core::GridSpec;
-use proof_obs::export::{federate_prometheus, prometheus_text};
 use proof_obs::{FlightRecorder, MetricsRegistry};
-use proof_serve::client::request_full_timeout;
-use proof_serve::http::{
-    query_has, query_param, read_request, write_response, write_response_typed, Request,
-};
-use serde_json::{Map, Value};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use proof_serve::http::{query_has, query_param, Daemon, Reply, Request};
+use serde_json::{json, Map, Value};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Transport bound for the coordinator's lock-free node scrapes
-/// (federated metrics, healthz cache aggregation). Short on purpose: an
-/// unreachable node should cost one bounded connect attempt, not stall
-/// the scrape.
-const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
+use std::time::Instant;
 
 /// Coordinator HTTP configuration.
 #[derive(Debug, Clone)]
@@ -75,12 +66,9 @@ impl Default for FleetServerConfig {
 
 struct SharedFleet {
     /// The fleet, in a takeable slot: handlers borrow it briefly (submits
-    /// are quick — the dispatch runs on a fleet-owned thread), and
-    /// [`FleetServer::shutdown`] takes it out so the drain always runs, no
-    /// matter how many handler threads still hold `Arc` clones of this
-    /// struct. (An earlier build gated the drain on `Arc::try_unwrap` and
-    /// silently leaked every embedded daemon whenever a connection was
-    /// still open.)
+    /// are quick — the dispatch runs on a fleet-owned thread), and a stop
+    /// takes it out so the drain always runs, however many `Arc` clones of
+    /// this struct are still alive.
     fleet: Mutex<Option<Fleet>>,
     /// Cloned out of the fleet so reads never touch the fleet slot: the
     /// metrics registry, flight recorder, run ledger, and the registry/
@@ -90,72 +78,51 @@ struct SharedFleet {
     view: Arc<FleetView>,
     runs: Arc<RunLedger>,
     node_addrs: Vec<SocketAddr>,
-    node_count: usize,
     started: Instant,
 }
 
 /// A running coordinator server. Owns the [`Fleet`] (and so its embedded
-/// daemons).
+/// daemons); shutdown or drop drains both.
 pub struct FleetServer {
-    addr: SocketAddr,
     shared: Arc<SharedFleet>,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
+    daemon: Daemon,
 }
 
 impl FleetServer {
     pub fn start(fleet: Fleet, config: FleetServerConfig) -> std::io::Result<FleetServer> {
         let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
         let shared = Arc::new(SharedFleet {
             metrics: Arc::clone(fleet.metrics()),
             flight: Arc::clone(fleet.flight()),
             view: Arc::clone(fleet.view()),
             runs: Arc::clone(fleet.runs()),
             node_addrs: fleet.node_addrs(),
-            node_count: fleet.node_addrs().len(),
             started: Instant::now(),
             fleet: Mutex::new(Some(fleet)),
         });
-        let stop = Arc::new(AtomicBool::new(false));
-        let acceptor = {
+        let daemon = {
             let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let shared = Arc::clone(&shared);
-                    // thread-per-connection: run threads own the dispatch,
-                    // so every endpoint answers concurrently
-                    std::thread::spawn(move || handle(&shared, stream));
-                }
-            })
+            // thread-per-connection: run threads own the dispatch, so every
+            // endpoint answers concurrently
+            Daemon::serve(listener, "proof-fleet", move |req| route(&shared, req))?
         };
-        Ok(FleetServer {
-            addr,
-            shared,
-            stop,
-            acceptor: Some(acceptor),
-        })
+        Ok(FleetServer { shared, daemon })
     }
 
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.daemon.addr()
     }
 
-    /// Stop accepting, join the acceptor, then take the fleet out of its
-    /// slot and shut it down — draining run threads and embedded daemons
-    /// unconditionally, even while handler threads still hold shared
-    /// clones (e.g. a slow request mid-read).
+    /// Stop accepting and drain live connections (a synchronous
+    /// `POST /grid` still gets its merged artifact), then take the fleet
+    /// out of its slot and shut it down — draining run threads and
+    /// embedded daemons.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr); // wake the acceptor
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
+        self.stop();
+    }
+
+    fn stop(&mut self) {
+        self.daemon.stop();
         let fleet = self
             .shared
             .fleet
@@ -168,124 +135,67 @@ impl FleetServer {
     }
 }
 
-fn error_body(msg: &str) -> String {
-    let mut m = Map::new();
-    m.insert("error".to_string(), Value::from(msg));
-    Value::Object(m).to_string()
+impl Drop for FleetServer {
+    fn drop(&mut self) {
+        self.stop();
+    }
 }
 
-fn handle(shared: &SharedFleet, mut stream: TcpStream) {
-    let request = match read_request(&mut stream) {
-        Ok(Some(r)) => r,
-        Ok(None) => return,
-        Err(e) => {
-            let _ = write_response(&mut stream, 400, &error_body(&e.to_string()));
-            return;
+fn route(shared: &SharedFleet, req: &Request) -> Reply {
+    match (req.method.as_str(), req.segments().as_slice()) {
+        ("GET", ["healthz"]) => Reply::json(200, healthz_body(shared)),
+        ("GET", ["metrics"]) if query_has(&req.query, "format", "prometheus") => {
+            Reply::prometheus(federated_prometheus(&shared.metrics, &shared.node_addrs))
         }
-    };
-    let (status, body, content_type) = route(shared, &request);
-    let _ = write_response_typed(&mut stream, status, content_type, &body);
-}
-
-fn route(shared: &SharedFleet, req: &Request) -> (u16, String, &'static str) {
-    const JSON: &str = "application/json";
-    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    match (req.method.as_str(), segments.as_slice()) {
-        ("GET", ["healthz"]) => (200, healthz_body(shared), JSON),
-        ("GET", ["metrics"]) if query_has(&req.query, "format", "prometheus") => (
-            200,
-            federated_prometheus_body(shared),
-            "text/plain; version=0.0.4",
-        ),
-        ("GET", ["metrics"]) => (
+        ("GET", ["metrics"]) => Reply::json(
             200,
             metrics_json_from(&shared.metrics, &shared.view.nodes()),
-            JSON,
         ),
         ("GET", ["grid", "trace"]) => match shared.view.last_trace() {
-            Some(trace) => (200, trace, JSON),
-            None => (404, error_body("no grid run yet"), JSON),
+            Some(trace) => Reply::json(200, trace),
+            None => Reply::error(404, "no grid run yet"),
         },
         ("GET", ["grid", id, "status"]) => grid_status(shared, id, &req.query),
         ("GET", ["grid", id, "result"]) => grid_result(shared, id),
-        ("GET", ["debug", "events"]) => (200, shared.flight.to_json(), JSON),
-        ("GET", ["nodes"]) => (
+        ("GET", ["debug", "events"]) => Reply::json(200, shared.flight.to_json()),
+        ("GET", ["nodes"]) => Reply::json(
             200,
             Value::Array(shared.view.nodes().iter().map(|n| n.to_value()).collect()).to_string(),
-            JSON,
         ),
         ("POST", ["grid"]) if query_has(&req.query, "mode", "async") => {
             post_grid_submit(shared, &req.body)
         }
         ("POST", ["grid", "submit"]) => post_grid_submit(shared, &req.body),
         ("POST", ["grid"]) => post_grid(shared, &req.body),
-        ("GET" | "POST", _) => (404, error_body("no such endpoint"), JSON),
-        _ => (405, error_body("method not allowed"), JSON),
+        ("GET" | "POST", _) => Reply::error(404, "no such endpoint"),
+        _ => Reply::error(405, "method not allowed"),
     }
-}
-
-/// The coordinator's own `proof_fleet_` exposition followed by every
-/// reachable node's exposition federated under a `node="<addr>"` label.
-/// Lock-free: scrapes go straight to the node addresses, so the endpoint
-/// answers mid-run.
-fn federated_prometheus_body(shared: &SharedFleet) -> String {
-    let mut out = prometheus_text(&shared.metrics.snapshot(), "proof_fleet_");
-    let scraped: Vec<(String, String)> = shared
-        .node_addrs
-        .iter()
-        .filter_map(|&addr| {
-            request_full_timeout(
-                addr,
-                "GET",
-                "/metrics?format=prometheus",
-                None,
-                Some(SCRAPE_TIMEOUT),
-            )
-            .ok()
-            .filter(|r| r.status == 200)
-            .map(|r| (addr.to_string(), r.body))
-        })
-        .collect();
-    if !scraped.is_empty() {
-        out.push_str(&federate_prometheus(&scraped));
-    }
-    out
 }
 
 /// Sum every reachable node's `/healthz` cache-tier summary into one
 /// fleet-wide view; `nodes_reporting` says how many answered.
 fn aggregate_node_cache(shared: &SharedFleet) -> Value {
-    let mut totals = [
-        ("memory_hits", 0u64),
-        ("disk_hits", 0u64),
-        ("remote_hits", 0u64),
-        ("misses", 0u64),
-    ];
+    let keys = ["memory_hits", "disk_hits", "remote_hits", "misses"];
+    let mut totals = [0u64; 4];
     let mut reporting = 0u64;
-    for &addr in &shared.node_addrs {
-        let Ok(r) = request_full_timeout(addr, "GET", "/healthz", None, Some(SCRAPE_TIMEOUT))
-        else {
-            continue;
-        };
-        if r.status != 200 {
-            continue;
-        }
-        let Ok(v) = serde_json::from_str::<Value>(&r.body) else {
+    for (_, body) in scrape_nodes(&shared.node_addrs, "/healthz") {
+        let Ok(v) = serde_json::from_str::<Value>(&body) else {
             continue;
         };
         let Some(cache) = v.get("cache") else {
             continue;
         };
         reporting += 1;
-        for (k, total) in totals.iter_mut() {
-            *total += cache.get(k).and_then(Value::as_u64).unwrap_or(0);
+        for (key, total) in keys.iter().zip(&mut totals) {
+            *total += cache.get(key).and_then(Value::as_u64).unwrap_or(0);
         }
     }
-    let mut c = Map::new();
+    let mut c: Map<String, Value> = keys
+        .iter()
+        .zip(totals)
+        .map(|(k, t)| (k.to_string(), Value::from(t)))
+        .collect();
     c.insert("nodes_reporting".to_string(), Value::from(reporting));
-    for (k, total) in totals {
-        c.insert(k.to_string(), Value::from(total));
-    }
     Value::Object(c)
 }
 
@@ -293,73 +203,61 @@ fn aggregate_node_cache(shared: &SharedFleet) -> Value {
 /// (the dispatcher republishes it mid-run) and `running` from the run
 /// ledger — neither key ever disappears while a grid executes.
 fn healthz_body(shared: &SharedFleet) -> String {
-    let mut m = Map::new();
-    m.insert("status".to_string(), Value::from("ok"));
-    m.insert(
-        "version".to_string(),
-        Value::from(env!("CARGO_PKG_VERSION")),
-    );
-    m.insert(
-        "uptime_s".to_string(),
-        Value::from(shared.started.elapsed().as_secs()),
-    );
-    m.insert("nodes".to_string(), Value::from(shared.node_count as u64));
-    m.insert("cache".to_string(), aggregate_node_cache(shared));
-    m.insert("alive".to_string(), Value::from(shared.view.alive() as u64));
-    m.insert("running".to_string(), Value::from(shared.runs.active() > 0));
-    m.insert("runs_total".to_string(), Value::from(shared.runs.total()));
-    m.insert(
-        "runs_active".to_string(),
-        Value::from(shared.runs.active() as u64),
-    );
-    Value::Object(m).to_string()
+    json!({
+        "status": "ok",
+        "version": (env!("CARGO_PKG_VERSION")),
+        "uptime_s": (shared.started.elapsed().as_secs()),
+        "nodes": (shared.node_addrs.len()),
+        "cache": (aggregate_node_cache(shared)),
+        "alive": (shared.view.alive()),
+        "running": (shared.runs.active() > 0),
+        "runs_total": (shared.runs.total()),
+        "runs_active": (shared.runs.active()),
+    })
+    .to_string()
 }
 
 /// Parse and submit a grid spec, returning the accepted run's handle.
-fn submit(shared: &SharedFleet, body: &str) -> Result<Arc<crate::runs::RunHandle>, (u16, String)> {
+fn submit(shared: &SharedFleet, body: &str) -> Result<Arc<crate::runs::RunHandle>, Reply> {
     let value: Value =
-        serde_json::from_str(body).map_err(|e| (400, format!("invalid JSON: {e}")))?;
-    let spec = GridSpec::from_value(&value).map_err(|e| (400, e.to_string()))?;
+        serde_json::from_str(body).map_err(|e| Reply::error(400, &format!("invalid JSON: {e}")))?;
+    let spec = GridSpec::from_value(&value).map_err(|e| Reply::error(400, &e.to_string()))?;
     let fleet = shared.fleet.lock().unwrap_or_else(|e| e.into_inner());
     let Some(fleet) = fleet.as_ref() else {
-        return Err((503, "coordinator shutting down".to_string()));
+        return Err(Reply::error(503, "coordinator shutting down"));
     };
-    match fleet.submit_grid(&spec) {
-        Ok(handle) => Ok(handle),
-        Err(e @ FleetError::Grid(_)) => Err((400, e.to_string())),
-        Err(e) => Err((500, e.to_string())),
+    fleet.submit_grid(&spec).map_err(|e| run_error(&e))
+}
+
+/// A run's terminal error: `400` for spec/merge rejections, `500` otherwise.
+fn run_error(e: &FleetError) -> Reply {
+    match e {
+        FleetError::Grid(_) => Reply::error(400, &e.to_string()),
+        _ => Reply::error(500, &e.to_string()),
     }
 }
 
 /// `POST /grid` — synchronous: submit, then wait on the run handle. The
 /// response bytes are exactly the streaming path's finished result.
-fn post_grid(shared: &SharedFleet, body: &str) -> (u16, String, &'static str) {
-    const JSON: &str = "application/json";
-    let handle = match submit(shared, body) {
-        Ok(h) => h,
-        Err((status, msg)) => return (status, error_body(&msg), JSON),
-    };
-    match handle.wait() {
-        Ok(run) => (200, run.merged, JSON),
-        Err(e @ FleetError::Grid(_)) => (400, error_body(&e.to_string()), JSON),
-        Err(e) => (500, error_body(&e.to_string()), JSON),
+fn post_grid(shared: &SharedFleet, body: &str) -> Reply {
+    match submit(shared, body).map(|handle| handle.wait()) {
+        Ok(Ok(run)) => Reply::json(200, run.merged),
+        Ok(Err(e)) => run_error(&e),
+        Err(reply) => reply,
     }
 }
 
 /// `POST /grid/submit` (or `?mode=async`) — accept and return immediately.
-fn post_grid_submit(shared: &SharedFleet, body: &str) -> (u16, String, &'static str) {
-    const JSON: &str = "application/json";
+fn post_grid_submit(shared: &SharedFleet, body: &str) -> Reply {
     let handle = match submit(shared, body) {
         Ok(h) => h,
-        Err((status, msg)) => return (status, error_body(&msg), JSON),
+        Err(reply) => return reply,
     };
-    let mut m = Map::new();
-    m.insert("run_id".to_string(), Value::from(handle.id()));
-    m.insert(
-        "shards".to_string(),
-        Value::from(handle.progress().counts().total as u64),
-    );
-    (202, Value::Object(m).to_string(), JSON)
+    let shards = handle.progress().counts().total;
+    Reply::json(
+        202,
+        json!({"run_id": (handle.id()), "shards": shards}).to_string(),
+    )
 }
 
 /// Look up a run by its path segment. `None` for unparseable or unknown
@@ -369,37 +267,32 @@ fn lookup_run(shared: &SharedFleet, id: &str) -> Option<Arc<crate::runs::RunHand
 }
 
 /// `GET /grid/<id>/status?since=<seq>`.
-fn grid_status(shared: &SharedFleet, id: &str, query: &str) -> (u16, String, &'static str) {
-    const JSON: &str = "application/json";
+fn grid_status(shared: &SharedFleet, id: &str, query: &str) -> Reply {
     let since = match query_param(query, "since") {
         Some(raw) => match raw.parse::<u64>() {
             Ok(v) => v,
-            Err(_) => return (400, error_body("malformed since cursor"), JSON),
+            Err(_) => return Reply::error(400, "malformed since cursor"),
         },
         None => 0,
     };
     match lookup_run(shared, id) {
-        Some(handle) => (200, handle.status_body(since), JSON),
-        None => (404, error_body("no such run"), JSON),
+        Some(handle) => Reply::json(200, handle.status_body(since)),
+        None => Reply::error(404, "no such run"),
     }
 }
 
 /// `GET /grid/<id>/result`.
-fn grid_result(shared: &SharedFleet, id: &str) -> (u16, String, &'static str) {
-    const JSON: &str = "application/json";
+fn grid_result(shared: &SharedFleet, id: &str) -> Reply {
     let Some(handle) = lookup_run(shared, id) else {
-        return (404, error_body("no such run"), JSON);
+        return Reply::error(404, "no such run");
     };
     match handle.result() {
-        None => {
-            let mut m = Map::new();
-            m.insert("run_id".to_string(), Value::from(handle.id()));
-            m.insert("state".to_string(), Value::from("running"));
-            (202, Value::Object(m).to_string(), JSON)
-        }
-        Some(Ok(run)) => (200, run.merged, JSON),
-        Some(Err(e @ FleetError::Grid(_))) => (400, error_body(&e.to_string()), JSON),
-        Some(Err(e)) => (500, error_body(&e.to_string()), JSON),
+        None => Reply::json(
+            202,
+            json!({"run_id": (handle.id()), "state": "running"}).to_string(),
+        ),
+        Some(Ok(run)) => Reply::json(200, run.merged),
+        Some(Err(e)) => run_error(&e),
     }
 }
 
@@ -408,6 +301,8 @@ mod tests {
     use super::*;
     use crate::coordinator::{run_grid_local, FleetConfig};
     use proof_serve::client::{get, post};
+    use std::net::TcpStream;
+    use std::time::Duration;
 
     #[test]
     fn coordinator_surface_round_trip() {
@@ -577,5 +472,51 @@ mod tests {
             "embedded daemon must not leak past shutdown"
         );
         drop(slow);
+    }
+
+    #[test]
+    fn shutdown_returns_with_a_half_sent_request_open() {
+        use std::io::Write as _;
+        let fleet = Fleet::start(FleetConfig::local(1)).unwrap();
+        let server = FleetServer::start(fleet, FleetServerConfig::default()).unwrap();
+        let mut stalled = TcpStream::connect(server.addr()).unwrap();
+        stalled.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown();
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(Duration::from_secs(2))
+            .expect("shutdown blocked behind a stalled client");
+        drop(stalled);
+    }
+
+    #[test]
+    fn shutdown_waits_out_a_synchronous_grid_in_flight() {
+        let fleet = Fleet::start(FleetConfig::local(1)).unwrap();
+        let server = FleetServer::start(fleet, FleetServerConfig::default()).unwrap();
+        let addr = server.addr();
+        let spec_json =
+            r#"{"model":"mobilenetv2-0.5","platform":"a100","batches":[1,2,4],"seed":31}"#;
+        let client = std::thread::spawn(move || post(addr, "/grid", spec_json));
+        // let the request land before shutting down underneath it
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.shared.runs.total() == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown();
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("shutdown deadlocked behind a synchronous POST /grid");
+        let (status, merged) = client.join().unwrap().unwrap();
+        assert_eq!(status, 200, "{merged}");
+        let spec = GridSpec::from_value(&serde_json::from_str(spec_json).unwrap()).unwrap();
+        assert_eq!(merged, run_grid_local(&spec).unwrap());
     }
 }

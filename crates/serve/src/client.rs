@@ -2,16 +2,15 @@
 //! implementation shared by the fleet coordinator, the CLI walkthroughs,
 //! and the integration tests.
 //!
-//! Promoted out of `http` (where it started life as test-adjacent helpers)
-//! into a public module: [`request_full`] is the primitive (status + body +
-//! parsed `Retry-After`), [`RetryPolicy`] adds deterministic seed-keyed
+//! One request is one [`Call`]: an optional wall-clock bound, optional extra
+//! headers, and an optional [`RetryPolicy`] (deterministic seed-keyed
 //! exponential backoff that honors a backpressuring server's `Retry-After`
-//! hint as a floor, and every read mirrors the server-side caps so a
-//! misbehaving peer cannot exhaust client memory. All entry points have a
-//! `*_timeout` variant that bounds connect/read/write — the fleet
-//! dispatcher uses those to tell a dead or wedged node from a slow one.
+//! hint as a floor). `Call::default()` is one unbounded attempt;
+//! [`request_full`], [`get`] and [`post`] are shorthands for it. Every read
+//! mirrors the server-side caps so a misbehaving peer cannot exhaust client
+//! memory.
 
-use crate::http::{bad, read_line_capped, MAX_BODY_BYTES, MAX_HEADER_BYTES};
+use crate::http::{bad, read_headers, read_start_line, MAX_BODY_BYTES};
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -25,143 +24,149 @@ pub struct Response {
     pub retry_after_s: Option<u64>,
 }
 
-/// Blocking one-shot client: send `method path` with an optional JSON body,
-/// return `(status, body)`.
-pub fn request(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> std::io::Result<(u16, String)> {
-    let r = request_full(addr, method, path, body)?;
-    Ok((r.status, r.body))
+/// How to send a request. Every field is optional; the default blocks
+/// without a bound, sends no extra headers, and makes one attempt.
+#[derive(Debug, Clone, Default)]
+pub struct Call {
+    /// Bound on the connect and on every read/write. With `Some(d)`, a node
+    /// that accepts the connection but never answers surfaces as a timeout
+    /// error instead of hanging the caller — the fleet dispatcher uses this
+    /// to tell a dead or wedged node from a slow one.
+    pub timeout: Option<Duration>,
+    /// Extra request headers, sent verbatim on every attempt (e.g.
+    /// `X-Proof-Trace` context on fleet submissions). Names and values
+    /// must be single-line.
+    pub headers: Vec<(&'static str, String)>,
+    /// Retry 429/503 (honoring `Retry-After` as a floor) and transport
+    /// errors other than a refused connection (a refused connection means
+    /// the server is gone — the caller should pick another node, not
+    /// wait). A 429 that outlives `max_retries` comes back as that 429 for
+    /// the caller to act on.
+    pub retry: Option<RetryPolicy>,
 }
 
-/// [`request`] keeping the response headers the retry layer needs. Reads
-/// are capped like the server side: headers to `MAX_HEADER_BYTES`, body to
-/// `MAX_BODY_BYTES` whether or not the server declared a length.
+impl Call {
+    /// Send `method path` with an optional JSON body.
+    pub fn send(
+        &self,
+        addr: SocketAddr,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+    ) -> std::io::Result<Response> {
+        let Some(policy) = &self.retry else {
+            return self.attempt(addr, method, path, body);
+        };
+        let mut attempt = 0u32;
+        loop {
+            match self.attempt(addr, method, path, body) {
+                Ok(r) if (r.status == 429 || r.status == 503) && attempt < policy.max_retries => {
+                    attempt += 1;
+                    let ms = policy.effective_delay_ms(attempt, r.retry_after_s);
+                    std::thread::sleep(Duration::from_millis(ms));
+                }
+                Ok(r) => return Ok(r),
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => return Err(e),
+                Err(_) if attempt < policy.max_retries => {
+                    attempt += 1;
+                    let ms = policy.effective_delay_ms(attempt, None);
+                    std::thread::sleep(Duration::from_millis(ms));
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// One exchange on a fresh connection. Reads are capped like the server
+    /// side: headers to `MAX_HEADER_BYTES`, body to `MAX_BODY_BYTES` whether
+    /// or not the server declared a length.
+    fn attempt(
+        &self,
+        addr: SocketAddr,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+    ) -> std::io::Result<Response> {
+        let mut stream = match self.timeout {
+            Some(d) => TcpStream::connect_timeout(&addr, d)?,
+            None => TcpStream::connect(addr)?,
+        };
+        stream.set_read_timeout(self.timeout)?;
+        stream.set_write_timeout(self.timeout)?;
+        let body = body.unwrap_or("");
+        let extra: String = self
+            .headers
+            .iter()
+            .map(|(name, value)| format!("{name}: {value}\r\n"))
+            .collect();
+        let head = format!(
+            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{extra}Connection: close\r\n\r\n",
+            body.len()
+        );
+        stream.write_all(head.as_bytes())?;
+        stream.write_all(body.as_bytes())?;
+        stream.flush()?;
+
+        let mut reader = BufReader::new(stream);
+        let (status_line, budget) = read_start_line(&mut reader, "status line")?
+            .ok_or_else(|| bad("connection closed before status line"))?;
+        let status: u16 = status_line
+            .split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| bad("malformed status line"))?;
+        let mut content_length = None;
+        let mut retry_after_s = None;
+        read_headers(&mut reader, budget, |name, value| {
+            if name.eq_ignore_ascii_case("content-length") {
+                content_length = value.trim().parse::<usize>().ok();
+            } else if name.eq_ignore_ascii_case("retry-after") {
+                retry_after_s = value.trim().parse::<u64>().ok();
+            }
+            Ok(())
+        })?;
+        let mut body = String::new();
+        match content_length {
+            Some(n) if n > MAX_BODY_BYTES => return Err(bad("body too large")),
+            Some(n) => {
+                let mut buf = vec![0u8; n];
+                reader.read_exact(&mut buf)?;
+                body = String::from_utf8(buf).map_err(|_| bad("body is not UTF-8"))?;
+            }
+            None => {
+                let mut limited = reader.take(MAX_BODY_BYTES as u64 + 1);
+                limited.read_to_string(&mut body)?;
+                if body.len() > MAX_BODY_BYTES {
+                    return Err(bad("body too large"));
+                }
+            }
+        }
+        Ok(Response {
+            status,
+            body,
+            retry_after_s,
+        })
+    }
+}
+
+/// One unbounded attempt: `Call::default().send(..)`.
 pub fn request_full(
     addr: SocketAddr,
     method: &str,
     path: &str,
     body: Option<&str>,
 ) -> std::io::Result<Response> {
-    request_full_timeout(addr, method, path, body, None)
+    Call::default().send(addr, method, path, body)
 }
 
-/// [`request_full`] with an optional wall-clock bound applied to the
-/// connect and to every read/write on the socket. A `None` timeout blocks
-/// indefinitely (the pre-fleet behavior); with `Some(d)`, a node that
-/// accepts the connection but never answers surfaces as a timeout error
-/// instead of hanging the caller.
-pub fn request_full_timeout(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    timeout: Option<Duration>,
-) -> std::io::Result<Response> {
-    request_full_timeout_headers(addr, method, path, body, timeout, &[])
-}
-
-/// [`request_full_timeout`] with caller-supplied extra request headers —
-/// the fleet dispatcher uses this to attach `X-Proof-Trace` context to
-/// shard submissions. Header names and values must be single-line; they are
-/// sent verbatim.
-pub fn request_full_timeout_headers(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    timeout: Option<Duration>,
-    extra_headers: &[(&str, &str)],
-) -> std::io::Result<Response> {
-    let mut stream = match timeout {
-        Some(d) => TcpStream::connect_timeout(&addr, d)?,
-        None => TcpStream::connect(addr)?,
-    };
-    stream.set_read_timeout(timeout)?;
-    stream.set_write_timeout(timeout)?;
-    let body = body.unwrap_or("");
-    let extra: String = extra_headers
-        .iter()
-        .map(|(name, value)| format!("{name}: {value}\r\n"))
-        .collect();
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{extra}Connection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()?;
-
-    let mut reader = BufReader::new(stream);
-    let mut budget = MAX_HEADER_BYTES;
-    let mut raw_status = Vec::new();
-    let n = read_line_capped(&mut reader, &mut raw_status, budget)?;
-    if n == 0 {
-        return Err(bad("connection closed before status line"));
-    }
-    budget -= n;
-    let status_line = String::from_utf8(raw_status).map_err(|_| bad("status line is not UTF-8"))?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("malformed status line"))?;
-    let mut content_length = None;
-    let mut retry_after_s = None;
-    loop {
-        let mut raw = Vec::new();
-        let n = read_line_capped(&mut reader, &mut raw, budget)?;
-        if n == 0 {
-            return Err(bad("connection closed inside headers"));
-        }
-        budget -= n;
-        let line = String::from_utf8(raw).map_err(|_| bad("header is not UTF-8"))?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse::<usize>().ok();
-            } else if name.eq_ignore_ascii_case("retry-after") {
-                retry_after_s = value.trim().parse::<u64>().ok();
-            }
-        }
-    }
-    let mut body = String::new();
-    match content_length {
-        Some(n) if n > MAX_BODY_BYTES => return Err(bad("body too large")),
-        Some(n) => {
-            let mut buf = vec![0u8; n];
-            reader.read_exact(&mut buf)?;
-            body = String::from_utf8(buf).map_err(|_| bad("body is not UTF-8"))?;
-        }
-        None => {
-            let mut limited = reader.take(MAX_BODY_BYTES as u64 + 1);
-            limited.read_to_string(&mut body)?;
-            if body.len() > MAX_BODY_BYTES {
-                return Err(bad("body too large"));
-            }
-        }
-    }
-    Ok(Response {
-        status,
-        body,
-        retry_after_s,
-    })
-}
-
-/// `GET path` convenience wrapper.
+/// `GET path`, returning `(status, body)`.
 pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
-    request(addr, "GET", path, None)
+    request_full(addr, "GET", path, None).map(|r| (r.status, r.body))
 }
 
-/// `POST path` convenience wrapper.
+/// `POST path` with a JSON body, returning `(status, body)`.
 pub fn post(addr: SocketAddr, path: &str, body: &str) -> std::io::Result<(u16, String)> {
-    request(addr, "POST", path, Some(body))
+    request_full(addr, "POST", path, Some(body)).map(|r| (r.status, r.body))
 }
 
 /// Deterministic retry schedule for 429/503 backpressure: exponential
@@ -208,79 +213,6 @@ impl RetryPolicy {
         let hinted = retry_after_s.map_or(0, |s| s.saturating_mul(1_000));
         self.delay_ms(attempt).max(hinted)
     }
-}
-
-/// [`request`] with retries on 429/503 (and connect errors), backing off
-/// per `policy`. Returns the last response once it is not retryable or
-/// retries are exhausted.
-pub fn request_with_retry(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    policy: &RetryPolicy,
-) -> std::io::Result<(u16, String)> {
-    let r = request_with_retry_timeout(addr, method, path, body, policy, None)?;
-    Ok((r.status, r.body))
-}
-
-/// The full retrying client: [`request_full_timeout`] under a
-/// [`RetryPolicy`]. Retries 429/503 honoring `Retry-After` as a floor, and
-/// transport errors other than a refused connection (a refused connection
-/// means the server is gone — the caller should pick another node, not
-/// wait). Returns the last [`Response`] once it is not retryable or the
-/// budget is exhausted — a 429 that outlives `policy.max_retries` comes
-/// back as that 429 for the caller to act on.
-pub fn request_with_retry_timeout(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    policy: &RetryPolicy,
-    timeout: Option<Duration>,
-) -> std::io::Result<Response> {
-    request_with_retry_timeout_headers(addr, method, path, body, policy, timeout, &[])
-}
-
-/// [`request_with_retry_timeout`] with extra request headers carried on
-/// every attempt (e.g. `X-Proof-Trace` context on fleet submissions).
-pub fn request_with_retry_timeout_headers(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    policy: &RetryPolicy,
-    timeout: Option<Duration>,
-    extra_headers: &[(&str, &str)],
-) -> std::io::Result<Response> {
-    let mut attempt = 0u32;
-    loop {
-        match request_full_timeout_headers(addr, method, path, body, timeout, extra_headers) {
-            Ok(r) if (r.status == 429 || r.status == 503) && attempt < policy.max_retries => {
-                attempt += 1;
-                let ms = policy.effective_delay_ms(attempt, r.retry_after_s);
-                std::thread::sleep(Duration::from_millis(ms));
-            }
-            Ok(r) => return Ok(r),
-            Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => return Err(e),
-            Err(_) if attempt < policy.max_retries => {
-                attempt += 1;
-                let ms = policy.effective_delay_ms(attempt, None);
-                std::thread::sleep(Duration::from_millis(ms));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// `POST path` with backpressure-aware retries.
-pub fn post_with_retry(
-    addr: SocketAddr,
-    path: &str,
-    body: &str,
-    policy: &RetryPolicy,
-) -> std::io::Result<(u16, String)> {
-    request_with_retry(addr, "POST", path, Some(body), policy)
 }
 
 #[cfg(test)]
@@ -339,13 +271,11 @@ mod tests {
             drop(a);
         });
         let start = std::time::Instant::now();
-        let err = request_full_timeout(
-            addr,
-            "GET",
-            "/healthz",
-            None,
-            Some(Duration::from_millis(100)),
-        )
+        let err = Call {
+            timeout: Some(Duration::from_millis(100)),
+            ..Call::default()
+        }
+        .send(addr, "GET", "/healthz", None)
         .unwrap_err();
         assert!(
             matches!(

@@ -7,7 +7,7 @@
 //! trying to save — and one attempt only: the store's degradation counters
 //! make peer flakiness visible, the local build makes it harmless.
 
-use crate::client::request_full_timeout;
+use crate::client::{Call, Response};
 use proof_store::{ArtifactKey, PeerClient, TierError};
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -22,6 +22,21 @@ impl HttpPeer {
     pub fn new(addr: SocketAddr, timeout: Duration) -> HttpPeer {
         HttpPeer { addr, timeout }
     }
+
+    /// One bounded attempt on `/cache/<key>`.
+    fn send(
+        &self,
+        method: &str,
+        key: &ArtifactKey,
+        body: Option<&str>,
+    ) -> Result<Response, TierError> {
+        let call = Call {
+            timeout: Some(self.timeout),
+            ..Call::default()
+        };
+        call.send(self.addr, method, &format!("/cache/{key}"), body)
+            .map_err(|e| TierError::Unavailable(format!("{}: {e}", self.addr)))
+    }
 }
 
 impl PeerClient for HttpPeer {
@@ -30,14 +45,7 @@ impl PeerClient for HttpPeer {
     }
 
     fn fetch(&self, key: &ArtifactKey) -> Result<Option<String>, TierError> {
-        let reply = request_full_timeout(
-            self.addr,
-            "GET",
-            &format!("/cache/{key}"),
-            None,
-            Some(self.timeout),
-        )
-        .map_err(|e| TierError::Unavailable(format!("{}: {e}", self.addr)))?;
+        let reply = self.send("GET", key, None)?;
         match reply.status {
             200 => Ok(Some(reply.body)),
             404 => Ok(None),
@@ -50,14 +58,7 @@ impl PeerClient for HttpPeer {
     }
 
     fn publish(&self, key: &ArtifactKey, artifact: &str) -> Result<(), TierError> {
-        let reply = request_full_timeout(
-            self.addr,
-            "PUT",
-            &format!("/cache/{key}"),
-            Some(artifact),
-            Some(self.timeout),
-        )
-        .map_err(|e| TierError::Unavailable(format!("{}: {e}", self.addr)))?;
+        let reply = self.send("PUT", key, Some(artifact))?;
         match reply.status {
             200 | 201 => Ok(()),
             429 | 503 => Err(TierError::Busy),

@@ -1,12 +1,13 @@
-//! The daemon: TCP acceptor, worker pool, job registry, and HTTP routing.
+//! The daemon: worker pool, job registry, and the route table it mounts on
+//! the shared [`Daemon`] shell.
 //!
 //! Lifecycle: `Server::start` binds the listener (port 0 picks an ephemeral
-//! port), spawns the acceptor and `workers` pipeline workers, and returns.
-//! `shutdown` stops accepting, waits for live connection handlers, closes
-//! the queue, and joins the workers — which drain every queued and
-//! in-flight job before exiting, so no accepted job is ever dropped.
+//! port), spawns `workers` pipeline workers and the shell, and returns.
+//! `shutdown` stops accepting, drains live connections, closes the queue,
+//! and joins the workers — which drain every queued and in-flight job
+//! before exiting, so no accepted job is ever dropped.
 
-use crate::http::{read_request, write_response, write_response_full, Request};
+use crate::http::{Daemon, Reply, Request};
 use crate::job::AnalysisJob;
 use crate::metrics::{hist_value, Histogram, StageHistograms, WorkerMetrics};
 use crate::peer::HttpPeer;
@@ -23,13 +24,13 @@ use proof_obs::{
     DEFAULT_FLIGHT_CAPACITY,
 };
 use proof_store::{ArtifactKey, HitTier, Lookup, StoreConfig, TieredStore};
-use serde_json::{Map, Value};
+use serde_json::{json, Map, Value};
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -155,75 +156,22 @@ struct JobRecord {
 
 impl JobRecord {
     fn to_value(&self, id: u64) -> Value {
-        let mut m = Map::new();
-        m.insert("id".to_string(), Value::from(id));
-        m.insert("spec".to_string(), self.spec.to_value());
-        m.insert("key".to_string(), Value::from(self.key.as_str()));
-        m.insert("trace".to_string(), Value::from(self.trace));
-        m.insert(
-            "remote_parent".to_string(),
-            self.remote_parent.map(Value::from).unwrap_or(Value::Null),
-        );
-        m.insert("status".to_string(), Value::from(self.status.as_str()));
-        m.insert(
-            "group".to_string(),
-            self.group.map(Value::from).unwrap_or(Value::Null),
-        );
-        m.insert(
-            "cache_hit".to_string(),
-            self.cache_hit.map(Value::from).unwrap_or(Value::Null),
-        );
-        m.insert(
-            "cache_tier".to_string(),
-            self.cache_tier.map(Value::from).unwrap_or(Value::Null),
-        );
-        m.insert(
-            "error".to_string(),
-            self.error
-                .as_deref()
-                .map(Value::from)
-                .unwrap_or(Value::Null),
-        );
-        m.insert(
-            "queue_wait_us".to_string(),
-            self.queue_wait_us.map(Value::from).unwrap_or(Value::Null),
-        );
-        m.insert(
-            "execute_us".to_string(),
-            self.execute_us.map(Value::from).unwrap_or(Value::Null),
-        );
-        m.insert("attempts".to_string(), Value::from(self.attempts));
-        m.insert(
-            "timeout_ms".to_string(),
-            self.timeout_ms.map(Value::from).unwrap_or(Value::Null),
-        );
-        Value::Object(m)
-    }
-}
-
-/// Tracks live connection-handler threads so shutdown can wait for them.
-#[derive(Default)]
-struct ConnGate {
-    count: Mutex<usize>,
-    idle: Condvar,
-}
-
-impl ConnGate {
-    fn enter(&self) {
-        *lock_clean(&self.count) += 1;
-    }
-    fn exit(&self) {
-        let mut n = lock_clean(&self.count);
-        *n -= 1;
-        if *n == 0 {
-            self.idle.notify_all();
-        }
-    }
-    fn wait_idle(&self) {
-        let mut n = lock_clean(&self.count);
-        while *n > 0 {
-            n = self.idle.wait(n).unwrap_or_else(|e| e.into_inner());
-        }
+        json!({
+            "id": id,
+            "spec": (self.spec.to_value()),
+            "key": (self.key),
+            "trace": (self.trace),
+            "remote_parent": (self.remote_parent),
+            "status": (self.status.as_str()),
+            "group": (self.group),
+            "cache_hit": (self.cache_hit),
+            "cache_tier": (self.cache_tier),
+            "error": (self.error),
+            "queue_wait_us": (self.queue_wait_us),
+            "execute_us": (self.execute_us),
+            "attempts": (self.attempts),
+            "timeout_ms": (self.timeout_ms),
+        })
     }
 }
 
@@ -279,7 +227,6 @@ struct Shared {
     /// Process start, for the `/healthz` uptime report.
     started: Instant,
     running: AtomicBool,
-    conns: ConnGate,
 }
 
 impl Shared {
@@ -302,8 +249,7 @@ pub struct ShutdownReport {
 /// A running proof-serve daemon.
 pub struct Server {
     shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
+    daemon: Daemon,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -352,7 +298,6 @@ impl Server {
             local_addr,
             started: Instant::now(),
             running: AtomicBool::new(true),
-            conns: ConnGate::default(),
         });
 
         let mut workers = Vec::with_capacity(config.workers.max(1));
@@ -365,24 +310,20 @@ impl Server {
             );
         }
 
-        let acceptor = {
+        let daemon = {
             let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("proof-serve-acceptor".to_string())
-                .spawn(move || acceptor_loop(&shared, listener))?
+            Daemon::serve(listener, "proof-serve", move |req| handle(&shared, req))?
         };
-
         Ok(Server {
             shared,
-            local_addr,
-            acceptor: Some(acceptor),
+            daemon,
             workers,
         })
     }
 
     /// The bound address (resolves ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
-        self.local_addr
+        self.daemon.addr()
     }
 
     /// Graceful shutdown: drains in-flight connections and every accepted
@@ -395,13 +336,9 @@ impl Server {
         if !self.shared.running.swap(false, Ordering::SeqCst) {
             return ShutdownReport::default();
         }
-        // wake the blocking accept with a throwaway connection
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        // let live request handlers finish (they may still enqueue)
-        self.shared.conns.wait_idle();
+        // stop accepting and let live request handlers finish (they may
+        // still enqueue)
+        self.daemon.stop();
         self.shared.queue.close();
         for h in self.workers.drain(..) {
             let _ = h.join();
@@ -420,23 +357,6 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
-    for stream in listener.incoming() {
-        if !shared.running.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        shared.conns.enter();
-        let shared = Arc::clone(shared);
-        let _ = std::thread::Builder::new()
-            .name("proof-serve-conn".to_string())
-            .spawn(move || {
-                handle_connection(&shared, stream);
-                shared.conns.exit();
-            });
     }
 }
 
@@ -706,32 +626,10 @@ fn run_staged(
     Ok((report, prep))
 }
 
-/// Why a submission was not accepted; maps to the HTTP reply.
-enum SubmitError {
-    /// Shutdown in progress — 503, do not retry against this instance.
-    ShuttingDown,
-    /// Bounded queue is full — 429 with `Retry-After` (backpressure).
-    QueueFull,
-}
-
-impl SubmitError {
-    fn reply(&self, shared: &Shared) -> (u16, String, Option<u64>) {
-        match self {
-            SubmitError::ShuttingDown => (503, error_body("server is shutting down"), None),
-            SubmitError::QueueFull => {
-                shared.rejected_total.inc();
-                shared.flight.record(
-                    "reject",
-                    "submission bounced: queue full",
-                    vec![("queue_depth", FieldValue::U64(shared.queue.depth() as u64))],
-                );
-                (429, error_body("job queue is full"), Some(RETRY_AFTER_S))
-            }
-        }
-    }
-}
-
-/// Register + enqueue one parsed job. Returns `(job id, trace id)`.
+/// Register + enqueue one parsed job. Returns `(job id, trace id)`, or the
+/// rejection to send: 503 while shutting down (do not retry against this
+/// instance), 429 with `Retry-After` when the bounded queue is full
+/// (backpressure).
 /// `trace_ctx` is the submitter's distributed trace context: the job-spec
 /// `trace_parent` field wins, then the transport-level `X-Proof-Trace`
 /// header, then a locally allocated trace id.
@@ -740,9 +638,9 @@ fn submit(
     spec: AnalysisJob,
     group: Option<u64>,
     trace_ctx: Option<(u64, u64)>,
-) -> Result<(u64, u64), SubmitError> {
+) -> Result<(u64, u64), Reply> {
     if !shared.running.load(Ordering::SeqCst) {
-        return Err(SubmitError::ShuttingDown);
+        return Err(Reply::error(503, "server is shutting down"));
     }
     let id = shared.next_id.fetch_add(1, Ordering::SeqCst);
     let (trace, remote_parent) = match spec.trace_parent.or(trace_ctx) {
@@ -770,7 +668,13 @@ fn submit(
     shared.reg().insert(id, record);
     if shared.queue.try_push(id).is_err() {
         shared.reg().remove(&id);
-        return Err(SubmitError::QueueFull);
+        shared.rejected_total.inc();
+        shared.flight.record(
+            "reject",
+            "submission bounced: queue full",
+            vec![("queue_depth", FieldValue::U64(shared.queue.depth() as u64))],
+        );
+        return Err(Reply::error(429, "job queue is full").retry_after(RETRY_AFTER_S));
     }
     shared.flight.record(
         "submit",
@@ -784,62 +688,33 @@ fn submit(
     Ok((id, trace))
 }
 
-fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
-    shared.http_requests.inc();
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| "unknown".to_string());
-    let request = match read_request(&mut stream) {
-        Ok(Some(r)) => r,
-        Ok(None) => return,
-        Err(e) => {
-            access_log(shared, &peer, "-", "-", 400);
-            let _ = write_response(&mut stream, 400, &error_body(&e.to_string()));
-            return;
-        }
-    };
-    let (status, body, retry_after_s) = route(shared, &request);
-    access_log(shared, &peer, &request.method, &request.path, status);
-    // The Prometheus exposition is the one non-JSON response body.
-    let content_type = if request.path == "/metrics" && status == 200 && body.starts_with('#') {
-        "text/plain; version=0.0.4"
-    } else {
-        "application/json"
-    };
-    let _ = write_response_full(&mut stream, status, content_type, retry_after_s, &body);
-}
-
-/// One structured access-log event per request (stderr when `PROOF_LOG`
+/// The route table plus serve's per-request bookkeeping: the request
+/// counter and one structured access-log event (stderr when `PROOF_LOG`
 /// allows `info`, and into the shared ring collector).
-fn access_log(shared: &Shared, peer: &str, method: &str, path: &str, status: u16) {
+fn handle(shared: &Shared, req: &Request) -> Reply {
+    shared.http_requests.inc();
+    let reply = route(shared, req);
     shared.tracer.event(
         Level::Info,
         "proof_serve::http",
-        format!("{method} {path} -> {status}"),
+        format!("{} {} -> {}", req.method, req.path, reply.status),
         vec![
-            ("peer", FieldValue::Str(peer.to_string())),
-            ("status", FieldValue::U64(u64::from(status))),
+            (
+                "peer",
+                FieldValue::Str(req.peer.map_or("unknown".to_string(), |a| a.to_string())),
+            ),
+            ("status", FieldValue::U64(u64::from(reply.status))),
         ],
     );
+    reply
 }
 
-fn error_body(msg: &str) -> String {
-    let mut m = Map::new();
-    m.insert("error".to_string(), Value::from(msg));
-    Value::Object(m).to_string()
-}
-
-fn route(shared: &Shared, req: &Request) -> (u16, String, Option<u64>) {
-    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    // The submission endpoints are the only ones that backpressure (and so
-    // the only ones that attach Retry-After).
-    match (req.method.as_str(), segments.as_slice()) {
-        ("POST", ["jobs"]) => return post_job(shared, &req.body, req.trace_parent),
-        ("POST", ["sweep"]) => return post_sweep(shared, &req.body, req.trace_parent),
-        _ => {}
-    }
-    let (status, body) = match (req.method.as_str(), segments.as_slice()) {
+fn route(shared: &Shared, req: &Request) -> Reply {
+    match (req.method.as_str(), req.segments().as_slice()) {
+        // the submission endpoints are the only ones that backpressure (and
+        // so the only ones that attach Retry-After)
+        ("POST", ["jobs"]) => post_job(shared, &req.body, req.trace_parent),
+        ("POST", ["sweep"]) => post_sweep(shared, &req.body, req.trace_parent),
         ("GET", ["jobs", id]) => get_job(shared, id),
         ("GET", ["jobs", id, "report"]) => get_report(shared, id),
         ("GET", ["sweep", gid]) => get_sweep(shared, gid),
@@ -847,14 +722,16 @@ fn route(shared: &Shared, req: &Request) -> (u16, String, Option<u64>) {
         ("GET", ["cache", key]) => get_cache(shared, key),
         ("PUT", ["cache", key]) => put_cache(shared, key, &req.body),
         ("POST", ["cache", "peers"]) => post_cache_peers(shared, &req.body),
-        ("GET", ["metrics"]) => (200, metrics_body(shared, &req.query)),
-        ("GET", ["models"]) => (200, models_body()),
-        ("GET", ["healthz"]) => (200, healthz_body(shared)),
-        ("GET", ["debug", "events"]) => (200, shared.flight.to_json()),
-        ("GET" | "POST" | "PUT", _) => (404, error_body("no such endpoint")),
-        _ => (405, error_body("method not allowed")),
-    };
-    (status, body, None)
+        ("GET", ["metrics"]) if crate::http::query_has(&req.query, "format", "prometheus") => {
+            Reply::prometheus(prometheus_body(shared))
+        }
+        ("GET", ["metrics"]) => Reply::json(200, metrics_body(shared)),
+        ("GET", ["models"]) => Reply::json(200, models_body()),
+        ("GET", ["healthz"]) => Reply::json(200, healthz_body(shared)),
+        ("GET", ["debug", "events"]) => Reply::json(200, shared.flight.to_json()),
+        ("GET" | "POST" | "PUT", _) => Reply::error(404, "no such endpoint"),
+        _ => Reply::error(405, "method not allowed"),
+    }
 }
 
 /// The fleet probe target: liveness plus the load signals a coordinator
@@ -863,71 +740,43 @@ fn route(shared: &Shared, req: &Request) -> (u16, String, Option<u64>) {
 /// per-tier cache hit/miss summary for operators eyeballing a node.
 fn healthz_body(shared: &Shared) -> String {
     let workers = shared.worker_metrics.snapshot();
-    let mut m = Map::new();
-    m.insert("status".to_string(), Value::from("ok"));
-    m.insert(
-        "version".to_string(),
-        Value::from(env!("CARGO_PKG_VERSION")),
-    );
-    m.insert(
-        "uptime_s".to_string(),
-        Value::from(shared.started.elapsed().as_secs()),
-    );
-    m.insert(
-        "queue_depth".to_string(),
-        Value::from(shared.queue.depth() as u64),
-    );
-    m.insert(
-        "queue_capacity".to_string(),
-        Value::from(shared.queue.capacity() as u64),
-    );
-    m.insert("workers".to_string(), Value::from(workers.count as u64));
-    m.insert("in_flight".to_string(), Value::from(workers.busy));
-    m.insert("cache".to_string(), cache_tier_summary(shared));
-    Value::Object(m).to_string()
+    let counter = |name| shared.metrics.counter(name).get();
+    // per-tier cache hits plus the shared miss count, read from the
+    // registry instruments the tiered store keeps live
+    json!({
+        "status": "ok",
+        "version": (env!("CARGO_PKG_VERSION")),
+        "uptime_s": (shared.started.elapsed().as_secs()),
+        "queue_depth": (shared.queue.depth()),
+        "queue_capacity": (shared.queue.capacity()),
+        "workers": (workers.count),
+        "in_flight": (workers.busy),
+        "cache": {
+            "memory_hits": (counter("cache_memory_hits_total")),
+            "disk_hits": (counter("cache_disk_hits_total")),
+            "remote_hits": (counter("cache_remote_hits_total")),
+            "misses": (counter("cache_misses_total")),
+        },
+    })
+    .to_string()
 }
 
-/// Per-tier cache hit counters plus the shared miss count, read from the
-/// registry instruments the tiered store keeps live.
-fn cache_tier_summary(shared: &Shared) -> Value {
-    let mut m = Map::new();
-    for (label, counter) in [
-        ("memory_hits", "cache_memory_hits_total"),
-        ("disk_hits", "cache_disk_hits_total"),
-        ("remote_hits", "cache_remote_hits_total"),
-        ("misses", "cache_misses_total"),
-    ] {
-        m.insert(
-            label.to_string(),
-            Value::from(shared.metrics.counter(counter).get()),
-        );
-    }
-    Value::Object(m)
-}
-
-fn post_job(
-    shared: &Shared,
-    body: &str,
-    trace_ctx: Option<(u64, u64)>,
-) -> (u16, String, Option<u64>) {
+fn post_job(shared: &Shared, body: &str, trace_ctx: Option<(u64, u64)>) -> Reply {
     let value: Value = match serde_json::from_str(body) {
         Ok(v) => v,
-        Err(e) => return (400, error_body(&format!("invalid JSON: {e}")), None),
+        Err(e) => return Reply::error(400, &format!("invalid JSON: {e}")),
     };
     let spec = match AnalysisJob::from_value(&value) {
         Ok(s) => s,
-        Err(e) => return (400, error_body(&e), None),
+        Err(e) => return Reply::error(400, &e),
     };
     match submit(shared, spec, None, trace_ctx) {
-        Ok((id, trace)) => {
-            let mut m = Map::new();
-            m.insert("id".to_string(), Value::from(id));
-            m.insert("key".to_string(), Value::from(spec.cache_key()));
-            m.insert("trace".to_string(), Value::from(trace));
-            m.insert("status".to_string(), Value::from("queued"));
-            (201, Value::Object(m).to_string(), None)
-        }
-        Err(e) => e.reply(shared),
+        Ok((id, trace)) => Reply::json(
+            201,
+            json!({"id": id, "key": (spec.cache_key()), "trace": trace, "status": "queued"})
+                .to_string(),
+        ),
+        Err(reply) => reply,
     }
 }
 
@@ -935,35 +784,33 @@ fn parse_id(s: &str) -> Option<u64> {
     s.parse().ok()
 }
 
-fn get_job(shared: &Shared, id: &str) -> (u16, String) {
+fn get_job(shared: &Shared, id: &str) -> Reply {
     let Some(id) = parse_id(id) else {
-        return (400, error_body("job id must be an integer"));
+        return Reply::error(400, "job id must be an integer");
     };
     let reg = shared.reg();
     match reg.get(&id) {
-        Some(rec) => (200, rec.to_value(id).to_string()),
-        None => (404, error_body("no such job")),
+        Some(rec) => Reply::json(200, rec.to_value(id).to_string()),
+        None => Reply::error(404, "no such job"),
     }
 }
 
-fn get_report(shared: &Shared, id: &str) -> (u16, String) {
+fn get_report(shared: &Shared, id: &str) -> Reply {
     let Some(id) = parse_id(id) else {
-        return (400, error_body("job id must be an integer"));
+        return Reply::error(400, "job id must be an integer");
     };
     let reg = shared.reg();
     match reg.get(&id) {
-        None => (404, error_body("no such job")),
+        None => Reply::error(404, "no such job"),
         Some(rec) => match (rec.status, &rec.artifact) {
-            (JobStatus::Done, Some(artifact)) => (200, artifact.as_str().to_string()),
-            (JobStatus::Failed, _) => (
-                500,
-                error_body(rec.error.as_deref().unwrap_or("job failed")),
-            ),
-            (JobStatus::TimedOut, _) => (
-                504,
-                error_body(rec.error.as_deref().unwrap_or("job deadline exceeded")),
-            ),
-            _ => (409, error_body("job not finished yet")),
+            (JobStatus::Done, Some(artifact)) => Reply::json(200, artifact.as_str().to_string()),
+            (JobStatus::Failed, _) => {
+                Reply::error(500, rec.error.as_deref().unwrap_or("job failed"))
+            }
+            (JobStatus::TimedOut, _) => {
+                Reply::error(504, rec.error.as_deref().unwrap_or("job deadline exceeded"))
+            }
+            _ => Reply::error(409, "job not finished yet"),
         },
     }
 }
@@ -979,19 +826,19 @@ fn get_report(shared: &Shared, id: &str) -> (u16, String) {
 /// the trace here and re-assembles one document, which a pre-rendered
 /// per-job chrome trace could not support (an adopted trace spans many
 /// jobs).
-fn get_trace(shared: &Shared, tid: &str, query: &str) -> (u16, String) {
+fn get_trace(shared: &Shared, tid: &str, query: &str) -> Reply {
     let Some(tid) = parse_id(tid) else {
-        return (400, error_body("trace id must be an integer"));
+        return Reply::error(400, "trace id must be an integer");
     };
     if crate::http::query_has(query, "format", "spans") {
         return trace_spans_body(shared, tid);
     }
     let reg = shared.reg();
     match reg.values().find(|r| r.trace == tid) {
-        None => (404, error_body("no such trace")),
+        None => Reply::error(404, "no such trace"),
         Some(rec) => match &rec.trace_json {
-            Some(json) => (200, json.as_str().to_string()),
-            None => (409, error_body("job not finished yet")),
+            Some(json) => Reply::json(200, json.as_str().to_string()),
+            None => Reply::error(409, "job not finished yet"),
         },
     }
 }
@@ -1009,98 +856,88 @@ fn field_value_json(v: &FieldValue) -> Value {
 
 /// The `?format=spans` body: every span of `tid` still held by the ring,
 /// sorted by (logical start, id) so the listing is deterministic.
-fn trace_spans_body(shared: &Shared, tid: u64) -> (u16, String) {
+fn trace_spans_body(shared: &Shared, tid: u64) -> Reply {
     let mut spans = shared.ring.trace_spans(tid);
     if spans.is_empty() {
-        return (404, error_body("no such trace"));
+        return Reply::error(404, "no such trace");
     }
     spans.sort_by(|a, b| a.start_us.total_cmp(&b.start_us).then(a.id.cmp(&b.id)));
-    let mut arr = Vec::with_capacity(spans.len());
-    for s in &spans {
-        let mut m = Map::new();
-        m.insert("id".to_string(), Value::from(s.id));
-        m.insert("parent".to_string(), Value::from(s.parent));
-        m.insert("name".to_string(), Value::from(s.name));
-        m.insert("start_us".to_string(), Value::from(s.start_us));
-        m.insert("end_us".to_string(), Value::from(s.end_us));
-        m.insert("wall_us".to_string(), Value::from(s.wall_us));
-        let mut fields = Map::new();
-        for (k, v) in &s.fields {
-            fields.insert(k.to_string(), field_value_json(v));
-        }
-        m.insert("fields".to_string(), Value::Object(fields));
-        arr.push(Value::Object(m));
-    }
-    let mut m = Map::new();
-    m.insert("trace".to_string(), Value::from(tid));
-    m.insert("spans".to_string(), Value::Array(arr));
-    (200, Value::Object(m).to_string())
+    let spans: Vec<Value> = spans
+        .iter()
+        .map(|s| {
+            let fields: Map<String, Value> = s
+                .fields
+                .iter()
+                .map(|(k, v)| (k.to_string(), field_value_json(v)))
+                .collect();
+            json!({
+                "id": (s.id),
+                "parent": (s.parent),
+                "name": (s.name),
+                "start_us": (s.start_us),
+                "end_us": (s.end_us),
+                "wall_us": (s.wall_us),
+                "fields": (Value::Object(fields)),
+            })
+        })
+        .collect();
+    Reply::json(200, json!({"trace": tid, "spans": spans}).to_string())
 }
 
 /// `GET /cache/<key>` — the peer-cache read surface. Serves only the
 /// *local* tiers (memory, then disk): a peer asking us must never make us
 /// ask our own peers, or two cold nodes would chase each other's remote
 /// tiers for a key neither has.
-fn get_cache(shared: &Shared, key: &str) -> (u16, String) {
+fn get_cache(shared: &Shared, key: &str) -> Reply {
     let key = match ArtifactKey::new(key) {
         Ok(k) => k,
-        Err(e) => return (400, error_body(&e)),
+        Err(e) => return Reply::error(400, &e),
     };
     match shared.cache.get_local(&key) {
-        Some(artifact) => (200, artifact.as_str().to_string()),
-        None => (404, error_body("no such cache entry")),
+        Some(artifact) => Reply::json(200, artifact.as_str().to_string()),
+        None => Reply::error(404, "no such cache entry"),
     }
 }
 
 /// `PUT /cache/<key>` — the peer-cache write surface (publish-on-build
 /// replication). The body must parse as JSON; anything else is rejected so
 /// a confused peer cannot poison the local tiers.
-fn put_cache(shared: &Shared, key: &str, body: &str) -> (u16, String) {
+fn put_cache(shared: &Shared, key: &str, body: &str) -> Reply {
     let key = match ArtifactKey::new(key) {
         Ok(k) => k,
-        Err(e) => return (400, error_body(&e)),
+        Err(e) => return Reply::error(400, &e),
     };
     match shared.cache.insert_local(&key, body.to_string()) {
-        Ok(bytes) => {
-            let mut m = Map::new();
-            m.insert("key".to_string(), Value::from(key.as_str()));
-            m.insert("bytes".to_string(), Value::from(bytes as u64));
-            (201, Value::Object(m).to_string())
-        }
-        Err(e) => (400, error_body(&e.to_string())),
+        Ok(bytes) => Reply::json(
+            201,
+            json!({"key": (key.as_str()), "bytes": bytes}).to_string(),
+        ),
+        Err(e) => Reply::error(400, &e.to_string()),
     }
 }
 
 /// `POST /cache/peers` — fleet advertisement: `{"peers":["ip:port",...]}`
 /// attaches (or refreshes) peer cache endpoints on the remote tier.
-fn post_cache_peers(shared: &Shared, body: &str) -> (u16, String) {
+fn post_cache_peers(shared: &Shared, body: &str) -> Reply {
     let value: Value = match serde_json::from_str(body) {
         Ok(v) => v,
-        Err(e) => return (400, error_body(&format!("invalid JSON: {e}"))),
+        Err(e) => return Reply::error(400, &format!("invalid JSON: {e}")),
     };
     let Some(peers) = value.get("peers").and_then(Value::as_array) else {
-        return (
-            400,
-            error_body("body must be {\"peers\": [\"ip:port\", ...]}"),
-        );
+        return Reply::error(400, "body must be {\"peers\": [\"ip:port\", ...]}");
     };
     let mut added = 0u64;
     for peer in peers {
         let Some(addr) = peer.as_str().and_then(|s| s.parse::<SocketAddr>().ok()) else {
-            return (400, error_body(&format!("invalid peer address: {peer}")));
+            return Reply::error(400, &format!("invalid peer address: {peer}"));
         };
         shared
             .cache
             .add_peer(Arc::new(HttpPeer::new(addr, shared.peer_timeout)));
         added += 1;
     }
-    let mut m = Map::new();
-    m.insert("added".to_string(), Value::from(added));
-    m.insert(
-        "peers".to_string(),
-        Value::from(shared.cache.peer_count() as u64),
-    );
-    (200, Value::Object(m).to_string())
+    let peers = shared.cache.peer_count();
+    Reply::json(200, json!({"added": added, "peers": peers}).to_string())
 }
 
 /// Expand a sweep request into its model × batch × dtype grid.
@@ -1155,53 +992,43 @@ fn sweep_grid(body: &Value) -> Result<Vec<Value>, String> {
     Ok(grid)
 }
 
-fn post_sweep(
-    shared: &Shared,
-    body: &str,
-    trace_ctx: Option<(u64, u64)>,
-) -> (u16, String, Option<u64>) {
+fn post_sweep(shared: &Shared, body: &str, trace_ctx: Option<(u64, u64)>) -> Reply {
     let value: Value = match serde_json::from_str(body) {
         Ok(v) => v,
-        Err(e) => return (400, error_body(&format!("invalid JSON: {e}")), None),
+        Err(e) => return Reply::error(400, &format!("invalid JSON: {e}")),
     };
     let grid = match sweep_grid(&value) {
         Ok(g) => g,
-        Err(e) => return (400, error_body(&e), None),
+        Err(e) => return Reply::error(400, &e),
     };
     // validate the whole grid before enqueueing anything
     let mut specs = Vec::with_capacity(grid.len());
     for point in &grid {
         match AnalysisJob::from_value(point) {
             Ok(s) => specs.push(s),
-            Err(e) => return (400, error_body(&e), None),
+            Err(e) => return Reply::error(400, &e),
         }
     }
     if shared.queue.capacity() - shared.queue.depth() < specs.len() {
         shared.rejected_total.inc();
-        return (
-            429,
-            error_body("job queue cannot hold the whole sweep"),
-            Some(RETRY_AFTER_S),
-        );
+        return Reply::error(429, "job queue cannot hold the whole sweep")
+            .retry_after(RETRY_AFTER_S);
     }
     let group = shared.next_group.fetch_add(1, Ordering::SeqCst);
     let mut ids = Vec::with_capacity(specs.len());
     for spec in specs {
         match submit(shared, spec, Some(group), trace_ctx) {
             Ok((id, _)) => ids.push(Value::from(id)),
-            Err(e) => return e.reply(shared),
+            Err(reply) => return reply,
         }
     }
-    let mut m = Map::new();
-    m.insert("group".to_string(), Value::from(group));
-    m.insert("submitted".to_string(), Value::from(ids.len()));
-    m.insert("jobs".to_string(), Value::Array(ids));
-    (201, Value::Object(m).to_string(), None)
+    let body = json!({"group": group, "submitted": (ids.len()), "jobs": ids});
+    Reply::json(201, body.to_string())
 }
 
-fn get_sweep(shared: &Shared, gid: &str) -> (u16, String) {
+fn get_sweep(shared: &Shared, gid: &str) -> Reply {
     let Some(gid) = parse_id(gid) else {
-        return (400, error_body("sweep group id must be an integer"));
+        return Reply::error(400, "sweep group id must be an integer");
     };
     let reg = shared.reg();
     let mut members: Vec<(u64, &JobRecord)> = reg
@@ -1210,94 +1037,57 @@ fn get_sweep(shared: &Shared, gid: &str) -> (u16, String) {
         .map(|(&id, r)| (id, r))
         .collect();
     if members.is_empty() {
-        return (404, error_body("no such sweep group"));
+        return Reply::error(404, "no such sweep group");
     }
     members.sort_by_key(|(id, _)| *id);
     let count = |s: JobStatus| members.iter().filter(|(_, r)| r.status == s).count();
-    let mut m = Map::new();
-    m.insert("group".to_string(), Value::from(gid));
-    m.insert("total".to_string(), Value::from(members.len()));
-    m.insert("queued".to_string(), Value::from(count(JobStatus::Queued)));
-    m.insert(
-        "running".to_string(),
-        Value::from(count(JobStatus::Running)),
-    );
-    m.insert("done".to_string(), Value::from(count(JobStatus::Done)));
-    m.insert("failed".to_string(), Value::from(count(JobStatus::Failed)));
-    m.insert(
-        "timed_out".to_string(),
-        Value::from(count(JobStatus::TimedOut)),
-    );
-    m.insert(
-        "jobs".to_string(),
-        Value::Array(members.iter().map(|(id, r)| r.to_value(*id)).collect()),
-    );
-    (200, Value::Object(m).to_string())
+    let jobs: Vec<Value> = members.iter().map(|(id, r)| r.to_value(*id)).collect();
+    let body = json!({
+        "group": gid,
+        "total": (members.len()),
+        "queued": (count(JobStatus::Queued)),
+        "running": (count(JobStatus::Running)),
+        "done": (count(JobStatus::Done)),
+        "failed": (count(JobStatus::Failed)),
+        "timed_out": (count(JobStatus::TimedOut)),
+        "jobs": jobs,
+    });
+    Reply::json(200, body.to_string())
 }
 
-fn metrics_body(shared: &Shared, query: &str) -> String {
-    if crate::http::query_has(query, "format", "prometheus") {
-        return prometheus_body(shared);
-    }
-    let mut queue = Map::new();
-    queue.insert("depth".to_string(), Value::from(shared.queue.depth()));
-    queue.insert("capacity".to_string(), Value::from(shared.queue.capacity()));
-
-    let mut jobs = Map::new();
-    {
+fn metrics_body(shared: &Shared) -> String {
+    let jobs = {
         let reg = shared.reg();
         let count = |s: JobStatus| reg.values().filter(|r| r.status == s).count();
-        jobs.insert("total".to_string(), Value::from(reg.len()));
-        jobs.insert("queued".to_string(), Value::from(count(JobStatus::Queued)));
-        jobs.insert(
-            "running".to_string(),
-            Value::from(count(JobStatus::Running)),
-        );
-        jobs.insert("done".to_string(), Value::from(count(JobStatus::Done)));
-        jobs.insert("failed".to_string(), Value::from(count(JobStatus::Failed)));
-        jobs.insert(
-            "timed_out".to_string(),
-            Value::from(count(JobStatus::TimedOut)),
-        );
-    }
-
-    let mut latency = Map::new();
-    latency.insert(
-        "queue_wait_us".to_string(),
-        hist_value(&shared.hist_queue_wait.snapshot()),
-    );
-    latency.insert(
-        "execute_us".to_string(),
-        hist_value(&shared.hist_execute.snapshot()),
-    );
-    latency.insert(
-        "total_us".to_string(),
-        hist_value(&shared.hist_total.snapshot()),
-    );
-
-    let mut stages = Map::new();
-    for (name, snap) in shared.stage_hists.snapshot() {
-        stages.insert(format!("{name}_us"), hist_value(&snap));
-    }
-
-    let mut m = Map::new();
-    m.insert("queue".to_string(), Value::Object(queue));
-    m.insert("jobs".to_string(), Value::Object(jobs));
-    m.insert(
-        "workers".to_string(),
-        serde_json::to_value(&shared.worker_metrics.snapshot()),
-    );
-    m.insert(
-        "cache".to_string(),
-        serde_json::to_value(&shared.cache.stats()),
-    );
-    m.insert(
-        "stage_cache".to_string(),
-        serde_json::to_value(&shared.stage_cache.stats()),
-    );
-    m.insert("latency".to_string(), Value::Object(latency));
-    m.insert("stages".to_string(), Value::Object(stages));
-    Value::Object(m).to_string()
+        json!({
+            "total": (reg.len()),
+            "queued": (count(JobStatus::Queued)),
+            "running": (count(JobStatus::Running)),
+            "done": (count(JobStatus::Done)),
+            "failed": (count(JobStatus::Failed)),
+            "timed_out": (count(JobStatus::TimedOut)),
+        })
+    };
+    let stages: Map<String, Value> = shared
+        .stage_hists
+        .snapshot()
+        .into_iter()
+        .map(|(name, snap)| (format!("{name}_us"), hist_value(&snap)))
+        .collect();
+    json!({
+        "queue": {"depth": (shared.queue.depth()), "capacity": (shared.queue.capacity())},
+        "jobs": jobs,
+        "workers": (shared.worker_metrics.snapshot()),
+        "cache": (shared.cache.stats()),
+        "stage_cache": (shared.stage_cache.stats()),
+        "latency": {
+            "queue_wait_us": (hist_value(&shared.hist_queue_wait.snapshot())),
+            "execute_us": (hist_value(&shared.hist_execute.snapshot())),
+            "total_us": (hist_value(&shared.hist_total.snapshot())),
+        },
+        "stages": (Value::Object(stages)),
+    })
+    .to_string()
 }
 
 /// `GET /metrics?format=prometheus` — text exposition of every registry
@@ -1357,15 +1147,6 @@ fn prometheus_body(shared: &Shared) -> String {
 }
 
 fn models_body() -> String {
-    let mut m = Map::new();
-    m.insert(
-        "models".to_string(),
-        Value::Array(
-            ModelId::ALL
-                .iter()
-                .map(|id| Value::from(id.slug()))
-                .collect(),
-        ),
-    );
-    Value::Object(m).to_string()
+    let models: Vec<&str> = ModelId::ALL.iter().map(|id| id.slug()).collect();
+    json!({"models": models}).to_string()
 }

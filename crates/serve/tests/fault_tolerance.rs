@@ -6,7 +6,7 @@
 //! The installed plan is process-global, so every test serializes on one
 //! mutex and clears the plan on exit (panic included) via a drop guard.
 
-use proof_serve::client::{get, post, post_with_retry, request_full, RetryPolicy};
+use proof_serve::client::{get, post, request_full, Call, RetryPolicy};
 use proof_serve::{ServeConfig, Server};
 use std::net::SocketAddr;
 use std::sync::{Mutex, MutexGuard};
@@ -165,10 +165,13 @@ fn full_queue_backpressures_with_429_and_seeded_backoff_recovers() {
     assert!(prom_counter(addr, "proof_serve_rejected_total") >= 1);
 
     // the seeded-backoff client rides out the stall and gets in
-    let policy = RetryPolicy::new(4242);
-    let (status, reply) = post_with_retry(addr, "/jobs", third, &policy).unwrap();
-    assert_eq!(status, 201, "{reply}");
-    let third_id = serde_json::from_str::<serde_json::Value>(&reply).unwrap()["id"]
+    let call = Call {
+        retry: Some(RetryPolicy::new(4242)),
+        ..Call::default()
+    };
+    let reply = call.send(addr, "POST", "/jobs", Some(third)).unwrap();
+    assert_eq!(reply.status, 201, "{}", reply.body);
+    let third_id = serde_json::from_str::<serde_json::Value>(&reply.body).unwrap()["id"]
         .as_u64()
         .unwrap();
 

@@ -244,6 +244,25 @@ fn shutdown_drains_queued_jobs() {
     assert_eq!(drain.failed, 0);
 }
 
+/// A client that stalls halfway through its request must not hold
+/// shutdown hostage: the drain ends the read side of live connections.
+#[test]
+fn shutdown_returns_with_a_half_sent_request_open() {
+    use std::io::Write as _;
+    let server = boot(1);
+    let mut stalled = std::net::TcpStream::connect(server.addr()).unwrap();
+    stalled.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(server.shutdown()).unwrap());
+    let drain = rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("shutdown blocked behind a stalled client");
+    assert_eq!(drain.dropped, 0);
+    drop(stalled);
+}
+
 #[test]
 fn api_error_paths() {
     let server = boot(1);
@@ -270,5 +289,5 @@ fn api_error_paths() {
 }
 
 fn request_delete(addr: SocketAddr) -> std::io::Result<(u16, String)> {
-    proof_serve::client::request(addr, "DELETE", "/jobs/1", None)
+    proof_serve::client::request_full(addr, "DELETE", "/jobs/1", None).map(|r| (r.status, r.body))
 }
